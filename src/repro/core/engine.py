@@ -88,10 +88,10 @@ class GenerationStats:
     #: scripts tell GA and baseline runs apart in stats.jsonl.
     strategy: str = "genetic"
     #: Surrogate-search record for this generation, when the strategy
-    #: publishes one through ``generation_metrics()`` (the
-    #: ``static_rank`` wrapper reports simulated/pruned/replayed counts
-    #: and the static-vs-simulated Spearman rank correlation here; it
-    #: lands in stats.jsonl).  Excluded from equality like the other
+    #: publishes one through ``generation_metrics()`` (the pruning
+    #: wrapper, under either scorer, reports simulated/pruned/replayed
+    #: counts and the predicted-vs-simulated Spearman rank correlation
+    #: here; it lands in stats.jsonl).  Excluded from equality like the other
     #: observability fields.
     surrogate: Optional[dict] = field(default=None, compare=False)
     #: Individuals satisfied from the evaluation cache this pass.

@@ -108,7 +108,7 @@ def make_engine(machine: SimulatedMachine, metric: str, seed: int,
     GA); passing ``"random"`` gives the paper's baseline search over
     the identical configuration and seed, and a ready
     :class:`~repro.search.SearchStrategy` instance runs as-is (how the
-    comparison experiment wires the ``static_rank`` wrapper).
+    comparison experiment wires the pruning wrappers).
     """
     if metric not in MEASUREMENTS:
         raise ValueError(

@@ -27,8 +27,9 @@ __all__ = ["SearchComparisonResult", "search_comparison",
            "COMPARISON_SEED"]
 
 #: ``static_rank(<base>)`` / ``surrogate(<base>)`` pseudo-names select
-#: a pruning wrapper around a base strategy, priced against the
-#: experiment's own platform (and, for static_rank, metric).
+#: the pruning wrapper with its static or learned scorer around a base
+#: strategy, priced against the experiment's own platform (and, for
+#: static_rank, metric).
 _WRAPPER_PATTERN = re.compile(r"(static_rank|surrogate)\((\w+)\)")
 
 #: One fixed seed for the whole comparison: every strategy starts from
@@ -54,7 +55,8 @@ class SearchComparisonResult:
 
     def simulated_evaluations(self, strategy: str) -> int:
         """Full simulated measurements the strategy paid for — what the
-        ``static_rank`` wrapper economises on."""
+        pruning wrapper (``static_rank`` or ``surrogate``) economises
+        on."""
         return sum(g.measured
                    for g in self.histories[strategy].generations)
 
@@ -109,10 +111,11 @@ def search_comparison(platform: str = "xgene2", metric: str = "ipc",
     seed, so generation 0 and the measurement noise stream are
     identical across strategies; the trajectories diverge only through
     the strategies' proposals.  Besides registered names, a
-    ``static_rank(<base>)`` pseudo-name runs the surrogate wrapper
-    around ``<base>`` — same configuration and seed, but only the
-    statically top-ranked fraction of each generation is simulated
-    (compare with :meth:`SearchComparisonResult.simulated_evaluations`).
+    ``static_rank(<base>)`` or ``surrogate(<base>)`` pseudo-name runs
+    the pruning wrapper around ``<base>`` with the static or learned
+    scorer — same configuration and seed, but only the top-predicted
+    fraction of each generation is simulated (compare with
+    :meth:`SearchComparisonResult.simulated_evaluations`).
     """
     scale = scale or GAScale(population_size=10, generations=8,
                              individual_size=20, samples=2)

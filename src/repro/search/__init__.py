@@ -14,10 +14,12 @@ MicroGrad centralises tuning mechanisms over a fixed evaluation core:
   the strategy registry;
 * strategies: ``genetic`` (the paper's GA, bit-identical to the
   pre-refactor engine), ``random`` (the paper's baseline),
-  ``hill_climb``, ``simulated_annealing``, ``static_rank`` (a wrapper
-  pruning any base strategy's offspring by static predicted fitness)
-  and ``surrogate`` (a wrapper pruning by an online-learned ridge
-  model, see :mod:`repro.surrogate`).
+  ``hill_climb`` and ``simulated_annealing``;
+* :mod:`repro.search.pruning` — one wrapper that prunes any base
+  strategy's offspring to the predicted-top fraction, with two
+  scorers registered as strategies: ``static_rank`` (the static cost
+  model) and ``surrogate`` (an online-learned ridge model, see
+  :mod:`repro.surrogate`).
 
 Importing this package registers every built-in operator and strategy.
 """
@@ -31,6 +33,7 @@ from .genetic import GeneticStrategy  # isort:skip — registration order
 from .random_search import RandomStrategy  # isort:skip
 from .hill_climb import HillClimbStrategy  # isort:skip
 from .annealing import SimulatedAnnealingStrategy  # isort:skip
+from .pruning import PruningStrategy  # isort:skip
 from .static_rank import StaticRankStrategy  # isort:skip
 from .surrogate import SurrogateStrategy  # isort:skip
 from .operators import (CROSSOVER_OPERATORS, MUTATION_OPERATORS,
@@ -43,7 +46,7 @@ __all__ = [
     "REPLACEMENT_POLICIES", "STRATEGIES",
     "SearchStrategy", "GeneticStrategy", "RandomStrategy",
     "HillClimbStrategy", "SimulatedAnnealingStrategy",
-    "StaticRankStrategy", "SurrogateStrategy",
+    "PruningStrategy", "StaticRankStrategy", "SurrogateStrategy",
     "make_strategy",
 ]
 

@@ -1,92 +1,42 @@
-"""Surrogate-assisted search: an online-learned fitness model in front
-of any strategy.
+"""Learned-model pruning in front of any strategy.
 
-``static_rank`` (PR 5) prunes offspring with a *fixed* analytical
-proxy; this wrapper learns the proxy instead, the NeuroScalar way: a
-ridge regression (:class:`~repro.surrogate.model.RidgeModel`) over
-static cost-model features plus an optional short-probe vector
+``surrogate`` is the :class:`~repro.search.pruning.PruningStrategy`
+whose scorer is learned, the NeuroScalar way: a ridge regression
+(:class:`~repro.surrogate.model.RidgeModel`) over static cost-model
+features plus an optional short-probe vector
 (:class:`~repro.surrogate.features.SurrogateFeaturizer`), refit every
-generation from the fitnesses the run has actually observed.  The
-model keeps improving as the search runs — MicroGrad's metric-driven
-feedback loop applied to the search's own evaluation budget.
+generation from the fitnesses the run has actually observed — the
+model keeps improving as the search runs.
 
-Per generation:
+What the learned scorer adds to the shared core:
 
-1. the base strategy proposes offspring as usual (same RNG stream,
-   same uid allocation);
-2. offspring whose genome was already simulated replay their recorded
-   measurements (exact, per the per-source noise contract);
-3. offspring whose rendered source sits in the evaluation cache pass
-   straight through — the evaluator replays them for free and the
-   observed fitness becomes training data (the cache-to-training-set
-   export, snapshot once via ``iter_entries()`` at warm-start);
-4. the rest are featurized in one batch and, once the model has seen
-   ``min_train`` rows, ranked by predicted fitness: the top
-   ``top_fraction`` are simulated, an ε-draw promotes a few pruned
-   candidates for unbiased training data, and the remainder get
-   placeholder fitnesses strictly below every simulated fitness
-   (the ``static_rank`` placeholder scheme);
-5. ``observe`` feeds the new (features, fitness) pairs back into the
-   model and records prediction quality (Spearman over this
-   generation's predicted-vs-simulated pairs) for stats.jsonl.
-
-Until the model is trained every candidate is simulated — the warm-up
-generations anchor the search and the training set.
+* feature rows are memoised per genome, and each generation's new
+  genomes are featurized in one batch (one probe pass);
+* until the model has seen ``min_train`` rows it predicts nothing, so
+  the warm-up generations are fully simulated and seed the training
+  set;
+* offspring whose rendered source sits in the evaluation cache pass
+  straight through — the evaluator replays them for free and their
+  observed fitness becomes training data (the cache snapshot is read
+  once via ``iter_entries()`` at warm start);
+* ε-exploration promotes a few pruned candidates to keep the training
+  set unbiased at the cheap end of the ranking.
 """
 
 from __future__ import annotations
 
-import math
-from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import ConfigError
 from ..core.individual import Individual
-from ..core.population import Population
-from ..cpu.microarch import microarch_for
-from ..staticcheck.configlint import detect_syntax
-from ..staticcheck.costmodel import spearman
 from ..surrogate import RidgeModel, SurrogateFeaturizer
-from .base import STRATEGIES, SearchStrategy
-from .static_rank import _DEFAULT_PLATFORM, _fraction, _optional_text
+from .base import STRATEGIES
+from .pruning import PruningStrategy, checked, fraction, optional_text
 
 __all__ = ["SurrogateStrategy"]
 
-#: Golden-ratio mixing constant decorrelating the exploration stream
-#: from the GA seed (same constant as the evaluation noise keying).
-_EXPLORE_MIX = 0x9E3779B97F4A7C15
-
-
-def _probability(value) -> float:
-    probability = float(value)
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    return probability
-
-
-def _non_negative_int(value) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError("must be >= 0")
-    return count
-
-
-def _positive_int(value) -> int:
-    count = int(value)
-    if count < 1:
-        raise ValueError("must be >= 1")
-    return count
-
-
-def _positive_float(value) -> float:
-    number = float(value)
-    if not number > 0.0:
-        raise ValueError("must be > 0")
-    return number
-
 
 @STRATEGIES.register("surrogate")
-class SurrogateStrategy(SearchStrategy):
+class SurrogateStrategy(PruningStrategy):
     """Learned-model pruning wrapped around a base strategy.
 
     Parameters
@@ -124,73 +74,38 @@ class SurrogateStrategy(SearchStrategy):
     name = "surrogate"
     PARAMS = {
         "base": (str, "genetic"),
-        "platform": (_optional_text, None),
-        "top_fraction": (_fraction, 0.4),
-        "epsilon": (_probability, 0.1),
-        "probe": (_non_negative_int, 400),
-        "l2": (_positive_float, 1.0),
-        "boost": (_non_negative_int, 0),
-        "min_train": (_positive_int, 8),
+        "platform": (optional_text, None),
+        "top_fraction": (fraction, 0.4),
+        "epsilon": (checked(float, lambda p: 0.0 <= p <= 1.0,
+                            "epsilon must be in [0, 1]"), 0.1),
+        "probe": (checked(int, lambda n: n >= 0, "must be >= 0"), 400),
+        "l2": (checked(float, lambda x: x > 0.0, "must be > 0"), 1.0),
+        "boost": (checked(int, lambda n: n >= 0, "must be >= 0"), 0),
+        "min_train": (checked(int, lambda n: n >= 1, "must be >= 1"), 8),
     }
 
-    def _bound(self) -> None:
-        base_name = self.params["base"]
-        if base_name == self.name:
-            raise ConfigError(
-                "search strategy 'surrogate' cannot wrap itself; "
-                "pick a concrete base strategy (e.g. base=\"genetic\")",
-                diagnostic_code="SC210")
-        base_cls = STRATEGIES.get(base_name)
-        self._base: SearchStrategy = base_cls(None)
-        self._base.bind(self.config, self.rng, self._take_uid)
-
-        platform = self.params["platform"]
-        if platform is None:
-            syntax = detect_syntax(self.config.template_text)
-            if syntax is None:
-                raise ConfigError(
-                    "search strategy 'surrogate' cannot infer the "
-                    "target platform: the template assembles under "
-                    "neither SimISA syntax; set the 'platform' "
-                    "parameter explicitly", diagnostic_code="SC210")
-            platform = _DEFAULT_PLATFORM[syntax]
-        self._arch = microarch_for(platform)
+    def _bind_scorer(self) -> None:
         self._featurizer = SurrogateFeaturizer(
             self.config.template_text, self._arch,
             probe_cycles=self.params["probe"])
         self._model = RidgeModel(l2=self.params["l2"],
                                  boost_buckets=self.params["boost"])
-
         # Evaluation-cache snapshot (populated by warm_start):
         self._cache = None
         self._warm_entries: Dict[str, Any] = {}
+        #: uid -> rendered source of this generation's newly featurized
+        #: candidates (the cache key of the warm-start pass-through).
+        self._sources: Dict[int, str] = {}
 
-        # Surrogate state (all checkpointed via state_dict):
-        #: genome key -> (measurements, fitness, compile_failed,
-        #: screen_failed) of every simulated individual seen so far.
-        self._memo: Dict[Tuple, Tuple] = {}
-        #: genome key -> feature row, so replayed clones never
-        #: re-featurize.
+        # Scorer state (all checkpointed via state_dict):
+        #: genome key -> feature row, so no genome is featurized twice.
         self._feature_memo: Dict[Tuple, Dict[str, float]] = {}
         #: The observed training set; rows deduplicate on genome key.
         self._train_rows: List[Dict[str, float]] = []
         self._train_targets: List[float] = []
         self._trained_keys: set = set()
-        #: Lowest simulated fitness observed; placeholder fitnesses of
-        #: pruned candidates live strictly below it.
-        self._floor = 0.0
-        #: uid -> feature row / predicted fitness for candidates that
-        #: will carry a real fitness this generation.
+        #: uid -> feature row of this generation's candidates.
         self._pending_features: Dict[int, Dict[str, float]] = {}
-        self._pending_predictions: Dict[int, float] = {}
-        self._pruned_uids: set = set()
-        self._replayed = 0
-        self._selected = 0
-        self._explored = 0
-        self._warm_hits = 0
-        self._last_metrics: Optional[Dict[str, Any]] = None
-
-    # -- engine wiring ------------------------------------------------------
 
     def warm_start(self, evaluator) -> None:
         """Snapshot the evaluator's cache for the warm-start path.
@@ -204,249 +119,82 @@ class SurrogateStrategy(SearchStrategy):
         cache = getattr(evaluator, "cache", None)
         self._cache = cache
         self._warm_entries = {}
-        if cache is None:
-            return
         iterator = getattr(cache, "iter_entries", None)
         if callable(iterator):
             self._warm_entries = dict(iterator())
 
-    # -- featurization ------------------------------------------------------
+    # -- scorer hooks -------------------------------------------------------
 
-    def _featurize(self, individuals: List[Individual]
-                   ) -> Dict[int, Tuple[str, Optional[Dict[str, float]]]]:
-        """uid -> (source, features), reusing the genome-keyed memo and
-        batching the rest (one probe pass for the whole pool)."""
-        out: Dict[int, Tuple[str, Optional[Dict[str, float]]]] = {}
-        fresh: List[Individual] = []
-        for individual in individuals:
-            row = self._feature_memo.get(individual.genome_key())
-            if row is not None:
-                out[individual.uid] = (None, row)
-            else:
-                fresh.append(individual)
+    def _predict(self, individuals: List[Individual]) -> Dict[int, float]:
+        fresh = [i for i in individuals
+                 if i.genome_key() not in self._feature_memo]
+        self._sources = {}
         for individual, (source, row) in zip(
                 fresh, self._featurizer.featurize_batch(fresh)):
-            out[individual.uid] = (source, row)
+            self._sources[individual.uid] = source
             if row is not None:
                 self._feature_memo[individual.genome_key()] = row
-        return out
+        rows = {i.uid: self._feature_memo.get(i.genome_key())
+                for i in individuals}
+        self._pending_features = {uid: row for uid, row in rows.items()
+                                  if row is not None}
+        if not self._model.fitted:
+            return {}
+        return {uid: float("-inf") if row is None
+                else self._model.predict(row) for uid, row in rows.items()}
 
-    def _predict(self, row: Optional[Dict[str, float]]) -> float:
-        """Predicted fitness; -inf for unassemblable genomes (they
-        compile-fail to fitness 0, so they rank last and prune first)."""
-        if row is None:
-            return float("-inf")
+    def _predict_known(self, individual: Individual) -> Optional[float]:
+        row = self._feature_memo.get(individual.genome_key())
+        if row is None or not self._model.fitted:
+            return None
         return self._model.predict(row)
 
-    # -- the search contract ------------------------------------------------
+    def _pass_through(self, candidates: List[Individual]
+                      ) -> List[Individual]:
+        if not self._warm_entries:
+            return []
+        return [c for c in candidates if c.uid in self._sources
+                and self._cache.key(self._sources[c.uid])
+                in self._warm_entries]
 
-    def initial_population(self) -> Population:
-        population = self._base.initial_population()
-        # Generation 0 is always fully simulated: it anchors the search
-        # and contributes the first training rows.
-        featurized = self._featurize(
-            [i for i in population if not i.evaluated])
-        self._pending_features = {
-            uid: row for uid, (_, row) in featurized.items()
-            if row is not None}
-        self._pending_predictions = {}
-        self._pruned_uids = set()
-        self._replayed = 0
-        self._explored = 0
-        self._warm_hits = 0
-        self._selected = len(featurized)
-        return population
-
-    def next_population(self, population: Population,
-                        next_number: int) -> Population:
-        children = self._base.next_population(population, next_number)
-        pending: List[Individual] = []
-        replayed: List[Individual] = []
-        self._replayed = 0
-        for child in children:
-            if child.evaluated:
-                continue
-            hit = self._memo.get(child.genome_key())
-            if hit is not None:
-                measurements, fitness, compile_failed, screen_failed = hit
-                child.record_evaluation(list(measurements), fitness,
-                                        compile_failed=compile_failed,
-                                        screen_failed=screen_failed)
-                replayed.append(child)
-                self._replayed += 1
-            else:
-                pending.append(child)
-
-        featurized = self._featurize(pending)
-        self._pending_features = {}
-        self._pending_predictions = {}
-
-        # Cache warm hits pass straight through: the evaluator replays
-        # them for free, and their observed fitness trains the model.
-        fresh: List[Individual] = []
-        warm: List[Individual] = []
-        for child in pending:
-            source, row = featurized[child.uid]
-            if row is not None:
-                self._pending_features[child.uid] = row
-            if self._warm_entries and source is not None \
-                    and self._cache is not None \
-                    and self._cache.key(source) in self._warm_entries:
-                warm.append(child)
-            else:
-                fresh.append(child)
-        self._warm_hits = len(warm)
-
-        if not self._model.fitted:
-            # Warm-up: simulate everything, learn from all of it.
-            self._pruned_uids = set()
-            self._explored = 0
-            self._selected = len(fresh)
-            for child in replayed:
-                self._register_prediction(child)
-            return children
-
-        predictions = {
-            child.uid: self._predict(featurized[child.uid][1])
-            for child in fresh}
-        ranked = sorted(fresh,
-                        key=lambda c: (-predictions[c.uid], c.uid))
-        keep = max(1, math.ceil(
-            self.params["top_fraction"] * len(ranked))) if ranked else 0
-        selected, rest = ranked[:keep], ranked[keep:]
-
-        # ε-exploration: each pruned candidate may be promoted anyway.
-        # The draws come from a generation-keyed stream — deterministic,
-        # resume-exact, and invisible to the base strategy's RNG.
-        seed = self.config.ga.seed or 0
-        explore_rng = Random(
-            (seed * _EXPLORE_MIX + next_number) & (2 ** 64 - 1))
-        epsilon = self.params["epsilon"]
-        pruned: List[Individual] = []
-        explored: List[Individual] = []
-        for child in rest:
-            if epsilon and explore_rng.random() < epsilon:
-                explored.append(child)
-            else:
-                pruned.append(child)
-
-        # Placeholder fitnesses: strictly inside (floor - 1, floor),
-        # ordered by predicted rank, so pruned candidates keep a useful
-        # ordering under tournament selection yet never outrank any
-        # measured individual (simulated fitnesses are >= floor).
-        span = len(pruned) + 1
-        for position, child in enumerate(pruned):
-            placeholder = self._floor - 1.0 + (len(pruned) - position) / span
-            child.record_evaluation([], placeholder)
-
-        for child in selected + explored:
-            self._pending_predictions[child.uid] = predictions[child.uid]
-        for child in warm:
-            row = self._pending_features.get(child.uid)
-            if row is not None:
-                self._pending_predictions[child.uid] = self._predict(row)
-        for child in replayed:
-            self._register_prediction(child)
-        self._pruned_uids = {c.uid for c in pruned}
-        self._selected = len(selected) + len(explored)
-        self._explored = len(explored)
-        return children
-
-    def _register_prediction(self, child: Individual) -> None:
-        """Replayed children carry a real simulated fitness, so a
-        memoised prediction widens the Spearman sample for free."""
-        if not self._model.fitted:
-            return
-        row = self._feature_memo.get(child.genome_key())
-        if row is not None:
-            self._pending_predictions[child.uid] = self._predict(row)
-
-    def observe(self, population: Population) -> None:
-        self._base.observe(population)
-        pairs: List[Tuple[float, float]] = []
-        new_floor = self._floor
-        for individual in population:
-            if individual.uid in self._pruned_uids:
-                continue
-            if individual.fitness is None:
-                continue
+    def _learn(self, observed: List[Individual]) -> None:
+        for individual in observed:
             key = individual.genome_key()
-            self._memo.setdefault(
-                key,
-                (tuple(individual.measurements), individual.fitness,
-                 individual.compile_failed, individual.screen_failed))
-            new_floor = min(new_floor, individual.fitness)
             row = self._pending_features.get(individual.uid)
             if row is not None and key not in self._trained_keys:
                 self._trained_keys.add(key)
                 self._train_rows.append(row)
                 self._train_targets.append(individual.fitness)
-            prediction = self._pending_predictions.get(individual.uid)
-            if prediction is not None and math.isfinite(prediction):
-                pairs.append((prediction, individual.fitness))
-        self._floor = new_floor
         if len(self._train_rows) >= self.params["min_train"]:
             self._model.fit(self._train_rows, self._train_targets)
-        rho = spearman([p[0] for p in pairs], [p[1] for p in pairs])
-        self._last_metrics = {
-            "base": self._base.name,
-            "platform": self._arch.name,
-            "simulated": self._selected,
-            "pruned": len(self._pruned_uids),
-            "replayed": self._replayed,
-            "warm_hits": self._warm_hits,
-            "explored": self._explored,
-            "training_size": len(self._train_rows),
-            "spearman": rho,
-            "probe": self.params["probe"],
-        }
 
-    def generation_metrics(self, number: int) -> Optional[Dict[str, Any]]:
-        """The surrogate record the engine attaches to
-        :class:`~repro.core.engine.GenerationStats` (and stats.jsonl)."""
-        return self._last_metrics
+    def _telemetry(self) -> Dict[str, Any]:
+        return {"warm_hits": self._warm_hits, "explored": self._explored,
+                "training_size": len(self._train_rows),
+                "probe": self.params["probe"]}
 
     # -- checkpoint support -------------------------------------------------
 
-    def state_dict(self) -> Dict[str, Any]:
+    def _scorer_state(self) -> Dict[str, Any]:
         return {
-            "base_state": self._base.state_dict(),
-            "memo": dict(self._memo),
             "feature_memo": dict(self._feature_memo),
             "train_rows": list(self._train_rows),
             "train_targets": list(self._train_targets),
             "trained_keys": sorted(self._trained_keys),
-            "floor": self._floor,
             "pending_features": dict(self._pending_features),
-            "pending_predictions": dict(self._pending_predictions),
-            "pruned_uids": sorted(self._pruned_uids),
-            "replayed": self._replayed,
-            "selected": self._selected,
             "explored": self._explored,
             "warm_hits": self._warm_hits,
-            "last_metrics": self._last_metrics,
             "model": self._model.state_dict(),
         }
 
-    def load_state(self, state: Dict[str, Any]) -> None:
-        if not state:
-            return
-        self._base.load_state(state.get("base_state") or {})
-        self._memo = dict(state.get("memo") or {})
+    def _load_scorer_state(self, state: Dict[str, Any]) -> None:
         self._feature_memo = dict(state.get("feature_memo") or {})
         self._train_rows = list(state.get("train_rows") or [])
         self._train_targets = list(state.get("train_targets") or [])
         self._trained_keys = set(
             tuple(key) if isinstance(key, list) else key
             for key in state.get("trained_keys") or ())
-        self._floor = state.get("floor", 0.0)
         self._pending_features = dict(state.get("pending_features") or {})
-        self._pending_predictions = dict(
-            state.get("pending_predictions") or {})
-        self._pruned_uids = set(state.get("pruned_uids") or ())
-        self._replayed = state.get("replayed", 0)
-        self._selected = state.get("selected", 0)
         self._explored = state.get("explored", 0)
         self._warm_hits = state.get("warm_hits", 0)
-        self._last_metrics = state.get("last_metrics")
         self._model.load_state(state.get("model"))

@@ -14,9 +14,9 @@ the most promising fraction of each generation:
   with an optional batched
   :class:`~repro.evaluation.probe.ShortProbe` pass.
 
-The consumer is the ``surrogate`` wrapper search strategy
-(:mod:`repro.search.surrogate`), which composes these with any base
-strategy.
+The consumer is the learned scorer of the pruning wrapper — the
+``surrogate`` search strategy (:mod:`repro.search.surrogate`), which
+composes these with any base strategy.
 """
 
 from __future__ import annotations

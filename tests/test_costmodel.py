@@ -17,23 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import GAParameters, GeneticEngine, OutputRecorder, \
-    RunConfig, make_rng
-from repro.core.config import SearchParameters
+from repro.core import GeneticEngine, OutputRecorder, make_rng
 from repro.core.errors import ConfigError
 from repro.core.individual import random_individual
 from repro.core.template import Template
-from repro.cpu import SimulatedMachine, SimulatedTarget
+from repro.cpu import SimulatedMachine
 from repro.cpu.microarch import microarch_for, preset_names
 from repro.cpu.pipeline import PipelineSimulator
 from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler, X86Assembler, arm_library, arm_template
-from repro.measurement import PowerMeasurement
-from repro.search import STRATEGIES, make_strategy
+from repro.search import make_strategy
 from repro.staticcheck import (StaticScreen, analyze_cost,
                                render_cost_table, sort_diagnostics,
                                spearman, static_score)
 from repro.staticcheck.costmodel import INTENT_PORTS
+
+from .pruning_contract import (PruningWrapperContract, measurement,
+                               strategy_config)
 
 ARM_PRESETS = [name for name in preset_names()
                if microarch_for(name).isa == "arm"]
@@ -386,33 +386,13 @@ class TestScreenStaticRankMode:
 # the static_rank wrapper strategy
 # ---------------------------------------------------------------------------
 
-def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
-                     params=None):
-    ga = GAParameters(population_size=8, individual_size=8,
-                      mutation_rate=0.1, generations=generations,
-                      tournament_size=3, seed=seed)
-    config = RunConfig(ga=ga, library=tiny_library,
-                       template_text=tiny_template.text)
-    config.search = SearchParameters(strategy="static_rank",
-                                     params=dict(params or {}))
-    return config
+def _strategy_config(tiny_library, tiny_template, **kwargs):
+    return strategy_config("static_rank", tiny_library, tiny_template,
+                           **kwargs)
 
 
-def _measurement(seed=17):
-    machine = SimulatedMachine("cortex_a15", seed=seed, sim_cycles=600)
-    target = SimulatedTarget(machine)
-    target.connect()
-    return PowerMeasurement(target, {"samples": "2"})
-
-
-class TestStaticRankStrategy:
-    def test_registered(self):
-        assert "static_rank" in STRATEGIES
-
-    def test_rejects_self_wrap(self, tiny_config):
-        strategy = make_strategy("static_rank", {"base": "static_rank"})
-        with pytest.raises(ConfigError, match="cannot wrap itself"):
-            strategy.bind(tiny_config, make_rng(0), lambda: 0)
+class TestStaticRankStrategy(PruningWrapperContract):
+    STRATEGY = "static_rank"
 
     def test_rejects_bad_top_fraction(self):
         with pytest.raises(ConfigError, match="top_fraction"):
@@ -420,10 +400,15 @@ class TestStaticRankStrategy:
         with pytest.raises(ConfigError, match="top_fraction"):
             make_strategy("static_rank", {"top_fraction": "1.5"})
 
-    def test_platform_inferred_from_template_syntax(self, tiny_config):
-        strategy = make_strategy("static_rank", None)
-        strategy.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
-        assert strategy._arch.name == "cortex_a15"
+    def test_rejects_unknown_metric(self):
+        # Regression: every non-ipc string used to rank by the power
+        # proxy, so a typo silently changed what the search optimised.
+        with pytest.raises(ConfigError, match="metric") as excinfo:
+            make_strategy("static_rank", {"metric": "pwr"})
+        assert excinfo.value.diagnostic_code == "SC210"
+        for name in INTENT_PORTS:
+            assert name in str(excinfo.value)
+            make_strategy("static_rank", {"metric": name})
 
     def test_prunes_and_records_surrogate(self, tiny_library,
                                           tiny_template):
@@ -431,7 +416,7 @@ class TestStaticRankStrategy:
                                   params={"top_fraction": "0.5",
                                           "platform": "cortex_a15",
                                           "metric": "power"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
+        engine = GeneticEngine(config, measurement(), DefaultFitness())
         history = engine.run()
         gen0 = history.generations[0].surrogate
         assert gen0["simulated"] == 8 and gen0["pruned"] == 0
@@ -444,38 +429,10 @@ class TestStaticRankStrategy:
         assert history.generations[1].measured == \
             history.generations[1].surrogate["simulated"]
 
-    def test_placeholders_never_win(self, tiny_library, tiny_template):
-        config = _strategy_config(tiny_library, tiny_template,
-                                  params={"top_fraction": "0.34"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
-        history = engine.run()
-        # The run's best individual always comes from a real simulation.
-        assert history.best_individual.measurements
-        for population_stats in history.generations:
-            assert population_stats.best_fitness >= 0.0
-        final = history.final_population
-        pruned = [i for i in final if not i.measurements and
-                  i.fitness is not None and i.fitness < 0.0]
-        measured = [i for i in final if i.measurements]
-        if pruned and measured:
-            assert max(i.fitness for i in pruned) < \
-                min(i.fitness for i in measured)
-
-    def test_memo_replays_previously_simulated_genomes(
-            self, tiny_library, tiny_template):
-        config = _strategy_config(tiny_library, tiny_template,
-                                  generations=5)
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
-        history = engine.run()
-        # Elitist replacement re-proposes the incumbent every
-        # generation; the memo must satisfy it without re-measuring.
-        assert any(g.surrogate["replayed"] > 0
-                   for g in history.generations[1:])
-
     def test_stats_jsonl_carries_spearman(self, tiny_library,
                                           tiny_template, tmp_path):
         config = _strategy_config(tiny_library, tiny_template)
-        engine = GeneticEngine(config, _measurement(), DefaultFitness(),
+        engine = GeneticEngine(config, measurement(), DefaultFitness(),
                                recorder=OutputRecorder(tmp_path / "run"))
         engine.run()
         rows = [json.loads(line) for line in
@@ -503,7 +460,7 @@ class TestStaticRankStrategy:
         config = _strategy_config(tiny_library, tiny_template,
                                   generations=5,
                                   params={"top_fraction": "1.0"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
+        engine = GeneticEngine(config, measurement(), DefaultFitness())
         history = engine.run()
         # the memo was actually exercised: clones were replayed
         assert any(g.surrogate["replayed"] > 0
@@ -516,19 +473,6 @@ class TestStaticRankStrategy:
         priced = [s for s in strategy._score_memo.values()
                   if s != float("-inf")]
         assert len(calls) == len(priced)
-
-    def test_state_round_trip(self, tiny_config):
-        strategy = make_strategy("static_rank", None)
-        strategy.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
-        strategy._memo[(("ADD", ("x1", "x2", "x3")),)] = ((1.0,), 1.0,
-                                                          False, False)
-        strategy._floor = -0.25
-        state = strategy.state_dict()
-        fresh = make_strategy("static_rank", None)
-        fresh.bind(tiny_config, make_rng(0), iter(range(10_000)).__next__)
-        fresh.load_state(state)
-        assert fresh._memo == strategy._memo
-        assert fresh._floor == -0.25
 
 
 # ---------------------------------------------------------------------------

@@ -17,44 +17,29 @@ import math
 import pytest
 
 from repro.analysis.postprocess import run_statistics
-from repro.core import GAParameters, GeneticEngine, OutputRecorder, \
-    RunConfig, make_rng
-from repro.core.config import SearchParameters
+from repro.core import GeneticEngine, OutputRecorder, make_rng
 from repro.core.errors import ConfigError
 from repro.core.output import read_stats
-from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.cpu.microarch import microarch_for
 from repro.evaluation import EvaluationCache
 from repro.evaluation.cache import CachedEvaluation
 from repro.evaluation.probe import PROBE_FEATURE_NAMES, ShortProbe
 from repro.fitness import DefaultFitness
 from repro.isa import ArmAssembler
-from repro.measurement import PowerMeasurement
-from repro.search import STRATEGIES, make_strategy
+from repro.search import make_strategy
 from repro.surrogate import RidgeModel, SurrogateFeaturizer
+
+from .pruning_contract import (PruningWrapperContract, measurement,
+                               strategy_config)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
-def _strategy_config(tiny_library, tiny_template, generations=4, seed=3,
-                     params=None):
-    ga = GAParameters(population_size=8, individual_size=8,
-                      mutation_rate=0.1, generations=generations,
-                      tournament_size=3, seed=seed)
-    config = RunConfig(ga=ga, library=tiny_library,
-                       template_text=tiny_template.text)
-    config.search = SearchParameters(strategy="surrogate",
-                                     params=dict(params or {}))
-    return config
-
-
-def _measurement(seed=17):
-    machine = SimulatedMachine("cortex_a15", seed=seed, sim_cycles=600)
-    target = SimulatedTarget(machine)
-    target.connect()
-    return PowerMeasurement(target, {"samples": "2"})
+def _strategy_config(tiny_library, tiny_template, **kwargs):
+    return strategy_config("surrogate", tiny_library, tiny_template,
+                           **kwargs)
 
 
 def _arm_program(body, name="probe.s"):
@@ -206,14 +191,8 @@ class TestCacheIterEntries:
 # the surrogate wrapper strategy
 # ---------------------------------------------------------------------------
 
-class TestSurrogateStrategy:
-    def test_registered(self):
-        assert "surrogate" in STRATEGIES
-
-    def test_rejects_self_wrap(self, tiny_config):
-        strategy = make_strategy("surrogate", {"base": "surrogate"})
-        with pytest.raises(ConfigError, match="cannot wrap itself"):
-            strategy.bind(tiny_config, make_rng(0), lambda: 0)
+class TestSurrogateStrategy(PruningWrapperContract):
+    STRATEGY = "surrogate"
 
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError, match="epsilon"):
@@ -224,12 +203,6 @@ class TestSurrogateStrategy:
             make_strategy("surrogate", {"l2": "0"})
         with pytest.raises(ConfigError, match="min_train"):
             make_strategy("surrogate", {"min_train": "0"})
-
-    def test_platform_inferred_from_template_syntax(self, tiny_config):
-        strategy = make_strategy("surrogate", None)
-        strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__)
-        assert strategy._arch.name == "cortex_a15"
 
     def test_can_wrap_static_rank(self, tiny_config):
         strategy = make_strategy("surrogate", {"base": "static_rank"})
@@ -243,7 +216,7 @@ class TestSurrogateStrategy:
             tiny_library, tiny_template, generations=5,
             params={"platform": "cortex_a15", "probe": "0",
                     "min_train": "8", "top_fraction": "0.5"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
+        engine = GeneticEngine(config, measurement(), DefaultFitness())
         history = engine.run()
         gen0 = history.generations[0].surrogate
         # Warm-up: everything simulated, model untrained, no Spearman.
@@ -259,37 +232,13 @@ class TestSurrogateStrategy:
             if stats.surrogate["pruned"]:
                 assert stats.measured == stats.surrogate["simulated"]
 
-    def test_placeholders_never_win(self, tiny_library, tiny_template):
-        config = _strategy_config(
-            tiny_library, tiny_template, generations=5,
-            params={"top_fraction": "0.34", "epsilon": "0"})
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
-        history = engine.run()
-        assert history.best_individual.measurements
-        final = history.final_population
-        pruned = [i for i in final if not i.measurements and
-                  i.fitness is not None and i.fitness < 0.0]
-        measured = [i for i in final if i.measurements]
-        if pruned and measured:
-            assert max(i.fitness for i in pruned) < \
-                min(i.fitness for i in measured)
-
-    def test_memo_replays_previously_simulated_genomes(
-            self, tiny_library, tiny_template):
-        config = _strategy_config(tiny_library, tiny_template,
-                                  generations=5)
-        engine = GeneticEngine(config, _measurement(), DefaultFitness())
-        history = engine.run()
-        assert any(g.surrogate["replayed"] > 0
-                   for g in history.generations[1:])
-
     def test_epsilon_exploration_is_deterministic(self, tiny_library,
                                                   tiny_template):
         def explored_series():
             config = _strategy_config(
                 tiny_library, tiny_template, generations=5,
                 params={"epsilon": "0.5", "top_fraction": "0.25"})
-            engine = GeneticEngine(config, _measurement(),
+            engine = GeneticEngine(config, measurement(),
                                    DefaultFitness())
             history = engine.run()
             return [g.surrogate["explored"]
@@ -308,7 +257,7 @@ class TestSurrogateStrategy:
             config = _strategy_config(tiny_library, tiny_template,
                                       generations=4,
                                       params={"top_fraction": "1.0"})
-            engine = GeneticEngine(config, _measurement(),
+            engine = GeneticEngine(config, measurement(),
                                    DefaultFitness(), cache=cache)
             return engine.run()
 
@@ -327,40 +276,11 @@ class TestSurrogateStrategy:
         assert [g.best_fitness for g in first.generations] == \
             [g.best_fitness for g in second.generations]
 
-    def test_state_round_trip(self, tiny_config):
-        strategy = make_strategy("surrogate", None)
-        strategy.bind(tiny_config, make_rng(0),
-                      iter(range(10_000)).__next__)
-        key = (("ADD", ("x1", "x2", "x3")),)
-        strategy._memo[key] = ((1.0,), 1.0, False, False)
-        strategy._feature_memo[key] = {"loop_length": 3.0}
-        strategy._train_rows = [{"loop_length": float(i), "chain": 1.0}
-                                for i in range(9)]
-        strategy._train_targets = [float(i) for i in range(9)]
-        strategy._trained_keys = {key}
-        strategy._floor = -0.5
-        strategy._model.fit(strategy._train_rows,
-                            strategy._train_targets)
-        state = strategy.state_dict()
-
-        fresh = make_strategy("surrogate", None)
-        fresh.bind(tiny_config, make_rng(0),
-                   iter(range(10_000)).__next__)
-        fresh.load_state(state)
-        assert fresh._memo == strategy._memo
-        assert fresh._feature_memo == strategy._feature_memo
-        assert fresh._trained_keys == {key}
-        assert fresh._floor == -0.5
-        assert fresh._model.fitted
-        probe_row = {"loop_length": 4.0, "chain": 1.0}
-        assert fresh._model.predict(probe_row) == \
-            strategy._model.predict(probe_row)
-
     def test_stats_jsonl_round_trips_tolerant_readers(
             self, tiny_library, tiny_template, tmp_path):
         config = _strategy_config(tiny_library, tiny_template,
                                   generations=4)
-        engine = GeneticEngine(config, _measurement(), DefaultFitness(),
+        engine = GeneticEngine(config, measurement(), DefaultFitness(),
                                recorder=OutputRecorder(tmp_path / "run"))
         engine.run()
         stats_path = tmp_path / "run" / "stats.jsonl"
