@@ -116,6 +116,9 @@ def test_bench_pipeline(benchmark):
     on = SimulatedMachine("cortex_a15", seed=0)
     off = SimulatedMachine("cortex_a15", seed=0,
                            steady_state_detection=False)
+    # Time the simulation itself: with the run memo on, every timed
+    # call after the first would only redraw the measurement noise.
+    on.RUN_MEMO_CAP = off.RUN_MEMO_CAP = 0
     prog_on = on.compile(ARM_POWER_LOOP)
     prog_off = off.compile(ARM_POWER_LOOP)
     on_s = _best_seconds(lambda: on.run(prog_on))

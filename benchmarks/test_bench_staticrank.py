@@ -88,6 +88,9 @@ def test_bench_staticrank(benchmark):
     # measure_repeated on a connected simulated target.  Averaged over
     # a few winners so one unusually short kernel doesn't skew it.
     machine = SimulatedMachine("cortex_a15", seed=0)
+    # A new individual pays the simulation; with the run memo on, every
+    # timed pass after the first would only redraw the noise.
+    machine.RUN_MEMO_CAP = 0
     target = SimulatedTarget(machine)
     target.connect()
     measurement = PowerMeasurement(target, {"samples": "2"})

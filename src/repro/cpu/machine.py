@@ -106,6 +106,19 @@ class RunResult:
         return self.voltage.v_min
 
 
+@dataclass(frozen=True)
+class _Deterministic:
+    """The noise-free outcome of running one Program (a run-memo entry)."""
+
+    program: Program
+    trace: ExecutionTrace
+    core_power_w: float
+    noc_power_w: float
+    chip_power_w: float
+    voltage: VoltageTrace
+    crashed: bool
+
+
 class SimulatedMachine:
     """One simulated platform (chip + board + instruments)."""
 
@@ -156,10 +169,16 @@ class SimulatedMachine:
         #: :class:`repro.core.engine.GenerationStats`.
         self.compile_cache_hits = 0
         self.compile_cache_misses = 0
+        self._run_memo: "OrderedDict[tuple, _Deterministic]" = \
+            OrderedDict()
 
     #: Entries kept in the compile cache; enough for several
     #: generations of distinct sources at paper-scale populations.
     COMPILE_CACHE_CAP = 512
+    #: Entries kept in the run memo (the noise-free part of
+    #: :meth:`run` per Program, cores and supply); enough for a
+    #: shipped-config generation's elites and repeated renderings.
+    RUN_MEMO_CAP = 64
 
     # -- toolchain -----------------------------------------------------------
 
@@ -173,8 +192,9 @@ class SimulatedMachine:
         :data:`COMPILE_CACHE_CAP` entries.  Failures are not cached.
 
         ``builder`` optionally supplies the Program on a cache miss in
-        place of the full assembler — the batched evaluation path
-        passes a :class:`~repro.isa.splice.TemplateSplicer` here.  The
+        place of the full assembler — the evaluation pipeline's shared
+        compile path passes its :class:`~repro.isa.splice.TemplateSplicer`
+        here, for the screen and the measurement alike.  The
         builder must produce exactly what ``assemble`` would (splicers
         self-validate), so cache content is identical either way.
         """
@@ -264,7 +284,67 @@ class SimulatedMachine:
             raise SimulationError(
                 f"cores={cores} outside 1..{self.arch.core_count}")
         supply = supply_v if supply_v is not None else self.supply_v
+        det = self._deterministic(program, cores, supply)
+        chip_power = det.chip_power_w
 
+        ipc = self._noisy(det.trace.ipc, _IPC_NOISE[self.environment])
+        samples = [
+            max(0.0, self._noisy(chip_power, _POWER_NOISE[self.environment]))
+            for _ in range(power_sample_count)
+        ]
+        sensor = self.thermal.sensor_reading_c(chip_power, duration_s)
+        temperature_samples = [
+            sensor + self._rng.gauss(0.0, _TEMP_NOISE_C[self.environment])
+            for _ in range(power_sample_count)
+        ]
+
+        return RunResult(
+            program_name=program.name,
+            cores_used=cores,
+            duration_s=duration_s,
+            supply_v=supply,
+            ipc=max(0.0, ipc),
+            core_power_w=det.core_power_w,
+            chip_power_w=chip_power,
+            power_samples_w=samples,
+            temperature_samples_c=temperature_samples,
+            voltage=det.voltage,
+            crashed=det.crashed,
+            trace=det.trace,
+            cache=det.trace.cache_summary,
+            noc_power_w=det.noc_power_w,
+        )
+
+    def _deterministic(self, program: Program, cores: int,
+                       supply: float) -> "_Deterministic":
+        """The noise-free part of :meth:`run`, memoised per Program.
+
+        The pipeline trace, the power figures and the PDN response are
+        a pure function of (program, cores, supply) on a given machine,
+        so re-running an elite or a re-rendered source only redraws its
+        noise.  The memo is keyed on the Program's identity — compiled
+        Programs come from the content-addressed compile cache, and the
+        entry keeps its Program alive so the key cannot be reused — and
+        is bounded by :data:`RUN_MEMO_CAP` with LRU eviction.  Machines
+        with a :class:`~repro.cpu.cache.MemoryHierarchy` bypass it: the
+        hierarchy is a mutable object the key does not cover.
+        """
+        if self.hierarchy is not None:
+            return self._simulate(program, cores, supply)
+        key = (id(program), cores, supply)
+        memo = self._run_memo
+        entry = memo.get(key)
+        if entry is not None and entry.program is program:
+            memo.move_to_end(key)
+            return entry
+        entry = self._simulate(program, cores, supply)
+        memo[key] = entry
+        if len(memo) > self.RUN_MEMO_CAP:
+            memo.popitem(last=False)
+        return entry
+
+    def _simulate(self, program: Program, cores: int,
+                  supply: float) -> "_Deterministic":
         trace = self.pipeline.execute(program, max_cycles=self.sim_cycles,
                                       hierarchy=self.hierarchy)
 
@@ -274,17 +354,6 @@ class SimulatedMachine:
         noc_power = self._noc_power_w(program, trace, cores, supply)
         chip_power = self.power.chip_power_w(core_power, cores) \
             + idle * (self.arch.core_count - cores) + noc_power
-
-        ipc = self._noisy(trace.ipc, _IPC_NOISE[self.environment])
-        samples = [
-            max(0.0, self._noisy(chip_power, _POWER_NOISE[self.environment]))
-            for _ in range(power_sample_count)
-        ]
-        temperature_samples = [
-            self.thermal.sensor_reading_c(chip_power, duration_s)
-            + self._rng.gauss(0.0, _TEMP_NOISE_C[self.environment])
-            for _ in range(power_sample_count)
-        ]
 
         current = self.power.current_trace_a(program, trace, vdd=supply)
         # Independent per-core instances do not align their activity
@@ -297,24 +366,11 @@ class SimulatedMachine:
             total_current, supply,
             period=trace.period_cycles or None,
             prefix=trace.prefix_cycles)
-        crashed = voltage.v_min < self.critical_voltage_v()
-
-        return RunResult(
-            program_name=program.name,
-            cores_used=cores,
-            duration_s=duration_s,
-            supply_v=supply,
-            ipc=max(0.0, ipc),
-            core_power_w=core_power,
-            chip_power_w=chip_power,
-            power_samples_w=samples,
-            temperature_samples_c=temperature_samples,
+        return _Deterministic(
+            program=program, trace=trace, core_power_w=core_power,
+            noc_power_w=noc_power, chip_power_w=chip_power,
             voltage=voltage,
-            crashed=crashed,
-            trace=trace,
-            cache=trace.cache_summary,
-            noc_power_w=noc_power,
-        )
+            crashed=voltage.v_min < self.critical_voltage_v())
 
     def run_source(self, source: str, name: str = "stress.s",
                    **kwargs) -> RunResult:

@@ -34,6 +34,12 @@ class SimulatedTarget:
         #: higher-level-language compiler (gcc) on the target, enabling
         #: C-level GA searches (see repro.isa.clike).
         self.translator = translator
+        #: Optional Program builder handed to ``machine.compile`` on a
+        #: compile-cache miss (see :meth:`SimulatedMachine.compile`).
+        #: :class:`~repro.evaluation.pipeline.EvaluationPipeline`
+        #: installs its template splicer here, so the measurement
+        #: shares one compile path with the static screen.
+        self.builder: Optional[Callable[[str, str], Program]] = None
         self._files: Dict[str, str] = {}
         self._binaries: Dict[str, Program] = {}
         self.connected = False
@@ -90,7 +96,8 @@ class SimulatedTarget:
         source = self.read_file(remote_name)
         if self.translator is not None:
             source = self.translator(source)
-        program = self.machine.compile(source, name=remote_name)
+        program = self.machine.compile(source, name=remote_name,
+                                       builder=self.builder)
         binary = _binary_name(remote_name)
         self._binaries[binary] = program
         return binary

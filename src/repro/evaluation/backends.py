@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
 from ..cpu.machine import BatchedMachine, SimulatedMachine
-from ..isa.splice import TemplateSplicer
 from .pipeline import EmptyMeasurementError, EvaluationPipeline, \
     EvaluationResult, StageTimings, noise_key
 
@@ -132,10 +131,11 @@ class BatchedBackend(ExecutorBackend):
 
     The render→measure→score path is re-staged population-wide:
     screening stays per-individual (in job order, against the live
-    screen object), every surviving source is compiled through a
-    :class:`~repro.isa.splice.TemplateSplicer` (template scaffolding
-    assembled once, only loop bodies re-decoded), and all programs then
-    execute as a single :class:`~repro.cpu.machine.BatchedMachine` pass
+    screen object), every surviving source is compiled through the
+    pipeline's shared compile path (:meth:`EvaluationPipeline.compile`,
+    so a source the screen assembled is a compile-cache hit), and all
+    programs then execute as a single
+    :class:`~repro.cpu.machine.BatchedMachine` pass
     — pipeline lockstep simulation, ``(population, cycles)`` energy
     accumulation and a vectorized PDN solve.  Per-individual noise
     substreams are replayed afterwards in job order, so every
@@ -145,16 +145,15 @@ class BatchedBackend(ExecutorBackend):
     ``measure_from_result``, non-simulated targets) silently take the
     serial per-job loop — correctness never depends on batching.
 
-    Stage-time accounting: screen and score remain per-individual;
-    the batch's compile+execute wall time is apportioned equally
-    across the batched jobs' ``measure_s``.
+    Stage-time accounting: screen, compile and score remain
+    per-individual; the batch's execute wall time is apportioned
+    equally across the batched jobs' ``measure_s``.
     """
 
     shares_state = True
 
     def __init__(self) -> None:
         self._pipeline: Optional[EvaluationPipeline] = None
-        self._splicer: Optional[TemplateSplicer] = None
         self._batched: Optional[BatchedMachine] = None
 
     def evaluate(self, pipeline: EvaluationPipeline,
@@ -171,55 +170,48 @@ class BatchedBackend(ExecutorBackend):
         machine: SimulatedMachine = measurement.target.machine
         if self._pipeline is not pipeline:
             self._pipeline = pipeline
-            self._splicer = TemplateSplicer(pipeline.template,
-                                            machine.assembler)
             self._batched = BatchedMachine(machine)
 
         n = len(jobs)
         slots: List[Optional[ResultOrError]] = [None] * n
         timings = [StageTimings() for _ in range(n)]
-        runnable: List[int] = []
+        programs = {}
+        deltas = {}
         for index, (individual, source) in enumerate(jobs):
+            hits_before, misses_before = pipeline.compile_counters()
+            failed: Optional[EvaluationResult] = None
             if pipeline.screen is not None:
                 began = perf_counter()  # staticcheck: disable=SC404
-                report = pipeline.screen.screen(source, individual)
+                report = pipeline.run_screen(source, individual)
                 timings[index].screen_s += perf_counter() - began  # staticcheck: disable=SC404
                 if not report.passed:
-                    slots[index] = EvaluationResult(
+                    failed = EvaluationResult(
                         uid=individual.uid, source=source,
                         measurements=[0.0], fitness=0.0,
                         compile_failed=report.assembly_failed,
                         screen_failed=True, timings=timings[index])
-                    continue
-            runnable.append(index)
+            if failed is None:
+                # Compile through the shared path; a source the screen
+                # just assembled is a compile-cache hit.
+                began = perf_counter()  # staticcheck: disable=SC404
+                try:
+                    programs[index] = pipeline.compile(source)
+                except AssemblyError:
+                    failed = EvaluationResult(
+                        uid=individual.uid, source=source,
+                        measurements=[0.0], fitness=0.0,
+                        compile_failed=True, timings=timings[index])
+                timings[index].measure_s += perf_counter() - began  # staticcheck: disable=SC404
+            hits, misses = pipeline.compile_counters()
+            deltas[index] = (hits - hits_before, misses - misses_before)
+            if failed is not None:
+                failed.compile_cache_hits, failed.compile_cache_misses = \
+                    deltas[index]
+                slots[index] = failed
 
-        # Compile (spliced) and execute the whole batch.
+        # Execute the whole batch.
         began_measure = perf_counter()  # staticcheck: disable=SC404
-        translator = getattr(measurement.target, "translator", None)
-        programs = {}
-        deltas = {}
-        for index in runnable:
-            individual, source = jobs[index]
-            hits_before = machine.compile_cache_hits
-            misses_before = machine.compile_cache_misses
-            text = translator(source) if translator is not None else source
-            try:
-                programs[index] = machine.compile(
-                    text, name=measurement.source_name,
-                    builder=self._splicer.compile)
-            except AssemblyError:
-                slots[index] = EvaluationResult(
-                    uid=individual.uid, source=source,
-                    measurements=[0.0], fitness=0.0,
-                    compile_failed=True, timings=timings[index],
-                    compile_cache_hits=machine.compile_cache_hits
-                    - hits_before,
-                    compile_cache_misses=machine.compile_cache_misses
-                    - misses_before)
-                continue
-            deltas[index] = (machine.compile_cache_hits - hits_before,
-                             machine.compile_cache_misses - misses_before)
-        batch_rows = [index for index in runnable if index in programs]
+        batch_rows = sorted(programs)
         rounds_by_row: List[List] = []
         if batch_rows:
             rounds_by_row = self._batched.run_batch(
@@ -231,8 +223,8 @@ class BatchedBackend(ExecutorBackend):
                             for index in batch_rows],
                 repeats=measurement.repeats)
         measure_share = (perf_counter() - began_measure) \
-            / max(1, len(runnable))
-        for index in runnable:
+            / max(1, len(batch_rows))
+        for index in batch_rows:
             timings[index].measure_s += measure_share
 
         # Interpret, aggregate and score per individual, in job order.

@@ -13,7 +13,9 @@ Stages, mirroring what the engine's old monolithic loop interleaved:
 1. **render** — instantiate the template with the individual's loop body;
 2. **screen** — optional pre-measurement static screen
    (:class:`repro.staticcheck.screen.StaticScreen`); failures take the
-   zero-fitness path without touching the pipeline model;
+   zero-fitness path without touching the pipeline model.  Screen and
+   measurement share one compile path
+   (:meth:`EvaluationPipeline.compile`), so a source is assembled once;
 3. **measure** — ``measure_repeated`` on the measurement plug-in;
    :class:`~repro.core.errors.AssemblyError` becomes a zero-fitness
    compile failure;
@@ -41,6 +43,10 @@ from typing import List, Optional, Protocol, Sequence
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
 from ..core.template import Template
+from ..cpu.machine import SimulatedMachine
+from ..isa.model import Program
+from ..isa.splice import TemplateSplicer
+from ..staticcheck.screen import StaticScreen
 
 __all__ = ["MeasurementProtocol", "FitnessProtocol", "ScreenProtocol",
            "ScreenReportProtocol", "StageTimings", "EvaluationResult",
@@ -147,9 +153,9 @@ class EvaluationResult:
     cache_hit: bool = False
     timings: StageTimings = field(default_factory=StageTimings)
     #: Target-machine compile-cache traffic attributable to this
-    #: evaluation (deltas around the measure stage).  Carried on the
-    #: result because pool workers compile in *replica* machines whose
-    #: counters the driver never sees.
+    #: evaluation (deltas around the screen and measure stages).
+    #: Carried on the result because pool workers compile in *replica*
+    #: machines whose counters the driver never sees.
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
 
@@ -230,16 +236,66 @@ class EvaluationPipeline:
             self._reseed = None
         # Duck-typed handle to the simulated machine, for compile-cache
         # accounting; None for measurements without a simulated target.
-        self._machine = getattr(
-            getattr(measurement, "target", None), "machine", None)
+        target = getattr(measurement, "target", None)
+        self._machine = getattr(target, "machine", None)
         if not hasattr(self._machine, "compile_cache_hits"):
             self._machine = None
+        #: The run's one template splicer: every Program the screen,
+        #: the measurement and the batched backend need comes from the
+        #: machine's compile cache, built through it.  None when the
+        #: measurement has no simulated machine or its target
+        #: translates sources before assembling them.
+        self.splicer: Optional[TemplateSplicer] = None
+        self._source_name = getattr(measurement, "source_name", None)
+        if (isinstance(self._machine, SimulatedMachine)
+                and isinstance(self._source_name, str)
+                and getattr(target, "translator", None) is None):
+            self.splicer = TemplateSplicer(template, self._machine.assembler)
+            target.builder = self.splicer.compile
 
     # -- stages -------------------------------------------------------------
 
     def render(self, individual: Individual) -> str:
         """Stage 1: instantiate the template with the loop body."""
         return self.template.instantiate(individual.render_body())
+
+    def compile(self, source: str) -> Program:
+        """The Program the measurement runs for ``source``.
+
+        Served from the machine's content-addressed compile cache under
+        the measurement's ``source_name``, built through the run's
+        splicer on a miss — so screening a source and then measuring it
+        assembles it once.  Sources go through the target's translator
+        first when it has one.  Requires a simulated machine.
+        """
+        target = self.measurement.target
+        if target.translator is not None:
+            return self._machine.compile(target.translator(source),
+                                         name=self._source_name)
+        return self._machine.compile(source, name=self._source_name,
+                                     builder=self.splicer.compile)
+
+    def run_screen(self, source: str,
+                   individual: Individual) -> ScreenReportProtocol:
+        """Stage 2: the static screen (requires ``self.screen``).
+
+        A :class:`StaticScreen` takes its Program from :meth:`compile`
+        when the pipeline has a splicer; other screens compile for
+        themselves.
+        """
+        if self.splicer is not None and isinstance(self.screen,
+                                                   StaticScreen):
+            return self.screen.screen(source, individual,
+                                      compile=self.compile)
+        return self.screen.screen(source, individual)
+
+    def compile_counters(self) -> tuple:
+        """The machine's compile-cache (hits, misses) so far; zeros
+        without a simulated machine."""
+        machine = self._machine
+        if machine is None:
+            return 0, 0
+        return machine.compile_cache_hits, machine.compile_cache_misses
 
     def score(self, measurements: Sequence[float],
               individual: Individual) -> float:
@@ -265,30 +321,28 @@ class EvaluationPipeline:
             source = self.render(individual)
             timings.render_s += perf_counter() - began  # staticcheck: disable=SC404
 
+        hits_before, misses_before = self.compile_counters()
+
+        def compile_deltas():
+            hits, misses = self.compile_counters()
+            return hits - hits_before, misses - misses_before
+
         if self.screen is not None:
             began = perf_counter()  # staticcheck: disable=SC404
-            report = self.screen.screen(source, individual)
+            report = self.run_screen(source, individual)
             timings.screen_s += perf_counter() - began  # staticcheck: disable=SC404
             if not report.passed:
                 # Same zero-fitness path as a compile failure, but the
                 # individual never enters the pipeline model.
+                hits, misses = compile_deltas()
                 return EvaluationResult(
                     uid=individual.uid, source=source,
                     measurements=[0.0], fitness=0.0,
                     compile_failed=report.assembly_failed,
-                    screen_failed=True, timings=timings)
+                    screen_failed=True, timings=timings,
+                    compile_cache_hits=hits, compile_cache_misses=misses)
 
         began = perf_counter()  # staticcheck: disable=SC404
-        machine = self._machine
-        hits_before = machine.compile_cache_hits if machine else 0
-        misses_before = machine.compile_cache_misses if machine else 0
-
-        def compile_deltas():
-            if machine is None:
-                return 0, 0
-            return (machine.compile_cache_hits - hits_before,
-                    machine.compile_cache_misses - misses_before)
-
         if self._reseed is not None:
             self._reseed(noise_key(self.noise_seed, source))
         try:

@@ -31,10 +31,11 @@ now purely a strictness choice.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..core.errors import AssemblyError
 from ..isa.assembler import BaseAssembler
+from ..isa.model import Program
 from .costmodel import StaticCostReport, analyze_cost
 from .dataflow import (DEFAULT_LINE_BYTES, StaticProfile, analyze_program)
 from .diagnostics import Diagnostic, Severity, make_diagnostic
@@ -149,13 +150,25 @@ class StaticScreen:
             kwargs.setdefault("line_bytes", hierarchy.l1_config.line_bytes)
         return cls(machine.assembler, **kwargs)
 
-    def screen(self, source_text: str, individual=None) -> ScreenReport:
-        """Screen one rendered source; never raises on bad programs."""
+    def screen(self, source_text: str, individual=None,
+               compile: Optional[Callable[[str], Program]] = None
+               ) -> ScreenReport:
+        """Screen one rendered source; never raises on bad programs.
+
+        ``compile`` optionally supplies the Program in place of the
+        screen's own assembler; it must raise
+        :class:`~repro.core.errors.AssemblyError` on bad code.  The
+        evaluation pipeline passes its shared compile path here, so the
+        Program screened is the one later measured.
+        """
         self.stats.screened += 1
         name = f"uid{individual.uid}.s" if individual is not None \
             else "screened.s"
         try:
-            program = self.assembler.assemble(source_text, name=name)
+            if compile is not None:
+                program = compile(source_text)
+            else:
+                program = self.assembler.assemble(source_text, name=name)
         except AssemblyError as exc:
             self.stats.assembly_failures += 1
             diagnostic = make_diagnostic(
