@@ -54,6 +54,27 @@ def _best_seconds(func) -> float:
     return best
 
 
+def _best_fresh_evaluation_seconds(machine, target, sources) -> float:
+    """Best-of time of ``measure_repeated`` over ``sources``, each pass
+    under a new source name.  The sources are compiled under that name
+    before the timer starts, so a pass finds them in the compile cache
+    as new Programs: they miss the run memo and pay the simulation, as
+    a new individual does."""
+    best = float("inf")
+    for attempt in range(REPEATS + 1):  # the first pass is the warm-up
+        name = f"pass{attempt}.s"
+        measurement = PowerMeasurement(
+            target, {"samples": "2", "source_name": name})
+        for source in sources:
+            machine.compile(source, name=name)
+        began = perf_counter()
+        for source in sources:
+            measurement.measure_repeated(source, None)
+        if attempt:
+            best = min(best, perf_counter() - began)
+    return best
+
+
 def _load_winners():
     """(platform, metric, source, program) for every shipped winner."""
     winners = []
@@ -88,20 +109,12 @@ def test_bench_staticrank(benchmark):
     # measure_repeated on a connected simulated target.  Averaged over
     # a few winners so one unusually short kernel doesn't skew it.
     machine = SimulatedMachine("cortex_a15", seed=0)
-    # A new individual pays the simulation; with the run memo on, every
-    # timed pass after the first would only redraw the noise.
-    machine.RUN_MEMO_CAP = 0
     target = SimulatedTarget(machine)
     target.connect()
-    measurement = PowerMeasurement(target, {"samples": "2"})
     eval_sources = [source for arch, _, source, _ in winners
                     if arch.isa == "arm"][:8]
-
-    def evaluate_all():
-        for source in eval_sources:
-            measurement.measure_repeated(source, None)
-
-    evaluation_s = _best_seconds(evaluate_all) / len(eval_sources)
+    evaluation_s = _best_fresh_evaluation_seconds(
+        machine, target, eval_sources) / len(eval_sources)
 
     score_ratio = evaluation_s / score_s
     analyze_ratio = evaluation_s / analyze_s

@@ -284,9 +284,19 @@ class SimulatedMachine:
             raise SimulationError(
                 f"cores={cores} outside 1..{self.arch.core_count}")
         supply = supply_v if supply_v is not None else self.supply_v
-        det = self._deterministic(program, cores, supply)
-        chip_power = det.chip_power_w
+        return self._draw(self._deterministic(program, cores, supply),
+                          cores, supply, duration_s, power_sample_count)
 
+    def _draw(self, det: "_Deterministic", cores: int, supply: float,
+              duration_s: float, power_sample_count: int) -> RunResult:
+        """The noisy half of :meth:`run`: one measurement of ``det``.
+
+        Draws from the noise stream in a fixed order — IPC, then the
+        power samples, then the temperatures.  The serial path and
+        :meth:`BatchedMachine.run_batch` both measure through here, so
+        the order has one implementation.
+        """
+        chip_power = det.chip_power_w
         ipc = self._noisy(det.trace.ipc, _IPC_NOISE[self.environment])
         samples = [
             max(0.0, self._noisy(chip_power, _POWER_NOISE[self.environment]))
@@ -299,7 +309,7 @@ class SimulatedMachine:
         ]
 
         return RunResult(
-            program_name=program.name,
+            program_name=det.program.name,
             cores_used=cores,
             duration_s=duration_s,
             supply_v=supply,
@@ -538,9 +548,7 @@ class BatchedMachine:
         root_cores = np.sqrt(cores)
 
         energies = power.energy_traces_pj(programs, traces)
-        core_powers: List[float] = []
-        chip_powers: List[float] = []
-        noc_powers: List[float] = []
+        outcomes = []
         currents: List[np.ndarray] = []
         for program, trace, energy in zip(programs, traces, energies):
             energy = energy * scale
@@ -557,9 +565,8 @@ class BatchedMachine:
             mean_current = float(np.mean(current))
             currents.append(mean_current * cores
                             + (current - mean_current) * root_cores)
-            core_powers.append(core_power)
-            chip_powers.append(chip_power)
-            noc_powers.append(noc_power)
+            outcomes.append((program, trace, core_power, noc_power,
+                             chip_power))
 
         voltages = machine.pdn.simulate_batch(
             currents, supply,
@@ -567,45 +574,18 @@ class BatchedMachine:
             prefixes=[t.prefix_cycles for t in traces])
         critical = machine.critical_voltage_v()
 
-        power_sigma = _POWER_NOISE[machine.environment]
-        ipc_sigma = _IPC_NOISE[machine.environment]
-        temp_sigma = _TEMP_NOISE_C[machine.environment]
         results: List[List[RunResult]] = []
-        for index, (program, trace) in enumerate(zip(programs, traces)):
+        for index, (program, trace, core_power, noc_power, chip_power) \
+                in enumerate(outcomes):
+            voltage = voltages[index]
+            det = _Deterministic(
+                program=program, trace=trace, core_power_w=core_power,
+                noc_power_w=noc_power, chip_power_w=chip_power,
+                voltage=voltage, crashed=voltage.v_min < critical)
             if noise_keys is not None:
                 machine.reseed(noise_keys[index])
-            chip_power = chip_powers[index]
-            sensor = machine.thermal.sensor_reading_c(chip_power, duration_s)
-            voltage = voltages[index]
-            crashed = voltage.v_min < critical
-            rounds: List[RunResult] = []
-            for _ in range(repeats):
-                # Noise draw order matches SimulatedMachine.run exactly:
-                # ipc, then the power samples, then the temperatures.
-                ipc = machine._noisy(trace.ipc, ipc_sigma)
-                samples = [
-                    max(0.0, machine._noisy(chip_power, power_sigma))
-                    for _ in range(power_sample_count)
-                ]
-                temperature_samples = [
-                    sensor + machine._rng.gauss(0.0, temp_sigma)
-                    for _ in range(power_sample_count)
-                ]
-                rounds.append(RunResult(
-                    program_name=program.name,
-                    cores_used=cores,
-                    duration_s=duration_s,
-                    supply_v=supply,
-                    ipc=max(0.0, ipc),
-                    core_power_w=core_powers[index],
-                    chip_power_w=chip_power,
-                    power_samples_w=samples,
-                    temperature_samples_c=temperature_samples,
-                    voltage=voltage,
-                    crashed=crashed,
-                    trace=trace,
-                    cache=trace.cache_summary,
-                    noc_power_w=noc_powers[index],
-                ))
-            results.append(rounds)
+            results.append([
+                machine._draw(det, cores, supply, duration_s,
+                              power_sample_count)
+                for _ in range(repeats)])
         return results

@@ -408,6 +408,16 @@ class ProcessPoolBackend(ExecutorBackend):
 #: forking/IPC only amortises once a generation carries at least
 #: ``_POOL_MIN_CYCLE_WORK`` job·cycles of simulation *and* every worker
 #: still receives a batch-worthy slice.
+#:
+#: ``_BATCH_MIN_JOBS`` was measured while the serial loop re-simulated
+#: every repeat.  With the run memo the serial loop simulates each
+#: program once, and on the shipped configs (detection on, 2-core
+#: container) batched trails it up to about 32 jobs: 0.67–0.88x serial
+#: at 8–20 jobs, repeats 1 or 3.  The pool choice weighs batched
+#: sub-batches against one batched pass, neither of which goes through
+#: the memo; at 32 and 48 jobs on two workers the pool was the fastest
+#: of the three (1.17–1.38x serial).  The batch crossover awaits
+#: re-calibration.
 _BATCH_MIN_JOBS = 8
 _POOL_MIN_CYCLE_WORK = 64 * 600
 

@@ -35,7 +35,9 @@ populations and run histories.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, Optional, Protocol, Sequence
@@ -43,10 +45,8 @@ from typing import List, Optional, Protocol, Sequence
 from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
 from ..core.template import Template
-from ..cpu.machine import SimulatedMachine
 from ..isa.model import Program
 from ..isa.splice import TemplateSplicer
-from ..staticcheck.screen import StaticScreen
 
 __all__ = ["MeasurementProtocol", "FitnessProtocol", "ScreenProtocol",
            "ScreenReportProtocol", "StageTimings", "EvaluationResult",
@@ -187,6 +187,17 @@ def noise_key(base_seed: int, source_text: str) -> int:
             ^ ((base_seed * _NOISE_MIX) & (2 ** 64 - 1)))
 
 
+@functools.lru_cache(maxsize=None)
+def _takes_compile(screen_type: type) -> bool:
+    """Whether a screen class's ``screen`` accepts ``compile=``, the
+    pipeline's shared compile path."""
+    try:
+        parameters = inspect.signature(screen_type.screen).parameters
+    except (AttributeError, TypeError, ValueError):
+        return False
+    return "compile" in parameters
+
+
 # ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
@@ -208,6 +219,13 @@ class EvaluationPipeline:
     noise_seed:
         Base seed mixed into each individual's noise-substream key
         (normally the GA seed, so one config+seed pins the whole run).
+
+    On a simulated target without a translator, the pipeline takes
+    ownership of the target's compile path: it installs its
+    :attr:`splicer` as ``target.builder``, replacing any builder a
+    previous pipeline installed there.  Splicers fall back to the full
+    assembler for sources outside their template, so a shared target
+    stays correct either way; it only loses the splicing speed-up.
     """
 
     def __init__(self, template: Template,
@@ -247,7 +265,7 @@ class EvaluationPipeline:
         #: translates sources before assembling them.
         self.splicer: Optional[TemplateSplicer] = None
         self._source_name = getattr(measurement, "source_name", None)
-        if (isinstance(self._machine, SimulatedMachine)
+        if (getattr(self._machine, "assembler", None) is not None
                 and isinstance(self._source_name, str)
                 and getattr(target, "translator", None) is None):
             self.splicer = TemplateSplicer(template, self._machine.assembler)
@@ -279,12 +297,12 @@ class EvaluationPipeline:
                    individual: Individual) -> ScreenReportProtocol:
         """Stage 2: the static screen (requires ``self.screen``).
 
-        A :class:`StaticScreen` takes its Program from :meth:`compile`
-        when the pipeline has a splicer; other screens compile for
-        themselves.
+        A screen whose ``screen`` accepts a ``compile`` keyword (as
+        :class:`~repro.staticcheck.screen.StaticScreen` does) takes its
+        Program from :meth:`compile` when the pipeline has a splicer;
+        other screens compile for themselves.
         """
-        if self.splicer is not None and isinstance(self.screen,
-                                                   StaticScreen):
+        if self.splicer is not None and _takes_compile(type(self.screen)):
             return self.screen.screen(source, individual,
                                       compile=self.compile)
         return self.screen.screen(source, individual)

@@ -257,6 +257,31 @@ class TestSharedCompilePath:
         assert [d.location.file for d in report.diagnostics] \
             == [f"uid{individual.uid}.s"]
 
+    def test_screen_gets_shared_compile_by_signature(self, config):
+        class Passed:
+            passed = True
+            assembly_failed = False
+
+        class TakesCompile:
+            def __init__(self):
+                self.programs = []
+
+            def screen(self, source_text, individual, compile=None):
+                self.programs.append(compile(source_text))
+                return Passed()
+
+        class CompilesItself:
+            def screen(self, source_text, individual):
+                return Passed()
+
+        pipeline = _pipeline(config, {"duration": "1", "samples": "3"})
+        [(individual, source)] = _jobs(pipeline, config, 1)
+        pipeline.screen = TakesCompile()
+        pipeline.run_screen(source, individual)
+        assert pipeline.screen.programs == [pipeline.compile(source)]
+        pipeline.screen = CompilesItself()
+        assert pipeline.run_screen(source, individual).passed
+
     def test_batched_backend_holds_no_splicer(self):
         backend = BatchedBackend()
         assert not any(type(value).__name__ == "TemplateSplicer"
