@@ -90,13 +90,6 @@ def _make_jobs(config, pipeline, round_seed: int):
     return jobs
 
 
-def _evaluate(backend, pipeline, jobs):
-    runner = getattr(backend, "evaluate_generation", None)
-    if callable(runner):
-        return runner(pipeline, jobs)
-    return backend.evaluate(pipeline, jobs)
-
-
 def _observables(results):
     return [(r.uid, r.measurements, r.fitness) for r in results]
 
@@ -114,7 +107,7 @@ def _run_regime(detection: bool, repeats: int, include_pool: bool):
             config, pipeline = state[name]
             jobs = _make_jobs(config, pipeline, round_seed)
             began = perf_counter()
-            results = _evaluate(backend, pipeline, jobs)
+            results = backend.evaluate(pipeline, jobs)
             seconds[name].append(perf_counter() - began)
             round_results[name] = _observables(results)
         for name, observed in round_results.items():
@@ -163,8 +156,7 @@ def test_bench_batched(benchmark):
     # What the auto-selector does at this scale, for the record.
     config, pipeline = _build_pipeline(detection=False, repeats=3)
     auto = AutoSelectBackend(pool_workers=os.cpu_count() or 1)
-    auto.evaluate_generation(pipeline,
-                             _make_jobs(config, pipeline, ROUND_SEEDS[0]))
+    auto.evaluate(pipeline, _make_jobs(config, pipeline, ROUND_SEEDS[0]))
     results["auto_select"] = {"choice": auto.last_choice,
                               "reason": auto.last_reason}
     auto.close()
@@ -182,7 +174,7 @@ def test_bench_batched(benchmark):
     # One pytest-benchmark-timed batched pass for the comparison tables.
     config, pipeline = _build_pipeline(detection=False, repeats=3)
     jobs = _make_jobs(config, pipeline, ROUND_SEEDS[0])
-    run_once(benchmark, lambda: BatchedBackend().evaluate_generation(
+    run_once(benchmark, lambda: BatchedBackend().evaluate(
         pipeline, jobs))
 
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")

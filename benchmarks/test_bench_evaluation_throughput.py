@@ -22,8 +22,7 @@ from repro.core.engine import GeneticEngine
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.cpu.cache import MemoryHierarchy
 from repro.evaluation import (EvaluationCache, ProcessPoolBackend,
-                              SerialBackend)
-from repro.evaluation.backends import _run_job
+                              SerialBackend, backends)
 from repro.evaluation.pipeline import EmptyMeasurementError
 from repro.fitness.default_fitness import DefaultFitness
 from repro.measurement.power import PowerMeasurement
@@ -36,15 +35,28 @@ POPULATION = 16
 GENERATIONS = 4
 
 
+def _run_job(job):
+    """Evaluate one job against the forked worker's pipeline replica."""
+    individual, source = job
+    try:
+        return backends._WORKER_PIPELINE.evaluate(individual, source=source)
+    except EmptyMeasurementError as exc:
+        return exc
+
+
 class PerJobPoolBackend(ProcessPoolBackend):
     """The pre-chunking dispatch strategy: one IPC round trip per
     individual.  Kept here as the baseline for the dispatch-overhead
     comparison — the chunked backend replaced it precisely because at
     simulator evaluation rates the round trips dominated the work."""
 
+    #: Generations this backend dispatched (the bench asserts it ran).
+    calls = 0
+
     def evaluate(self, pipeline, jobs):
         if not jobs:
             return []
+        PerJobPoolBackend.calls += 1
         pool = self._ensure_pool(pipeline)
         results = []
         for item in pool.imap(_run_job, list(jobs), chunksize=1):
@@ -101,6 +113,8 @@ def test_bench_evaluation_throughput(benchmark):
             ProcessPoolBackend(workers))
     results["backends"]["pool_4_per_job"] = _timed_run(
         PerJobPoolBackend(4))
+    # The per-job baseline must really have dispatched every generation.
+    assert PerJobPoolBackend.calls == GENERATIONS, PerJobPoolBackend.calls
 
     serial_rate = results["backends"]["serial"]["individuals_per_second"]
     for key in ("pool_2", "pool_4", "pool_4_per_job"):

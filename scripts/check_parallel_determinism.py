@@ -8,7 +8,9 @@ disabled (full cycle-by-cycle simulation) — and verifies they all
 produce identical run histories and bit-identical population binaries.
 ``--backend batched`` (or ``auto``) swaps the non-reference variants'
 executor for the population-vectorized path, checking the batched
-render→measure→score pass against the serial loop end-to-end.
+render→measure→score pass against the serial loop end-to-end;
+``--backend pool`` runs every non-reference variant, cached and
+untiled included, on ProcessPoolBackend(2).
 The last variant is the tiling contract end-to-end: stopping at a
 recurring scheduler state and analytically tiling the detected period
 must be observationally invisible to the whole GA.  Exits non-zero on
@@ -20,7 +22,7 @@ backend-independent for every strategy, not just the GA, and CI's
 strategy matrix exercises each one.
 
 Usage: PYTHONPATH=src python scripts/check_parallel_determinism.py \
-           [--strategy NAME]
+           [--strategy NAME] [--backend serial|batched|auto|pool]
 """
 
 import argparse
@@ -74,16 +76,18 @@ def main() -> int:
                         help="search strategy to run the cross-check "
                              "under (default: genetic)")
     parser.add_argument("--backend", default="serial",
-                        choices=("serial", "batched", "auto"),
+                        choices=("serial", "batched", "auto", "pool"),
                         help="executor for the non-reference variants "
                              "(default: serial); 'batched' checks the "
                              "population-vectorized pass against the "
-                             "serial reference")
+                             "serial reference, 'pool' runs them all on "
+                             "two worker processes")
     args = parser.parse_args()
     challenger = {
         "serial": SerialBackend,
         "batched": BatchedBackend,
         "auto": AutoSelectBackend,
+        "pool": lambda: ProcessPoolBackend(2),
     }[args.backend]
     failures = 0
     with tempfile.TemporaryDirectory() as raw:

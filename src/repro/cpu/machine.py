@@ -275,6 +275,17 @@ class SimulatedMachine:
         core.  ``supply_v`` overrides the machine setting for V_MIN
         sweeps.
         """
+        cores, supply = self._run_arguments(duration_s, cores,
+                                            power_sample_count, supply_v)
+        return self._draw(self._deterministic(program, cores, supply),
+                          cores, supply, duration_s, power_sample_count)
+
+    def _run_arguments(self, duration_s: float, cores: Optional[int],
+                       power_sample_count: int,
+                       supply_v: Optional[float]) -> Tuple[int, float]:
+        """Validate :meth:`run`'s arguments (shared with
+        :meth:`BatchedMachine.run_batch`); returns the resolved
+        ``(cores, supply)``."""
         if duration_s <= 0:
             raise SimulationError("duration must be positive")
         if power_sample_count < 1:
@@ -283,9 +294,7 @@ class SimulatedMachine:
         if not 1 <= cores <= self.arch.core_count:
             raise SimulationError(
                 f"cores={cores} outside 1..{self.arch.core_count}")
-        supply = supply_v if supply_v is not None else self.supply_v
-        return self._draw(self._deterministic(program, cores, supply),
-                          cores, supply, duration_s, power_sample_count)
+        return cores, supply_v if supply_v is not None else self.supply_v
 
     def _draw(self, det: "_Deterministic", cores: int, supply: float,
               duration_s: float, power_sample_count: int) -> RunResult:
@@ -357,30 +366,44 @@ class SimulatedMachine:
                   supply: float) -> "_Deterministic":
         trace = self.pipeline.execute(program, max_cycles=self.sim_cycles,
                                       hierarchy=self.hierarchy)
+        energy, = self.power.energy_traces_pj([program], [trace])
+        powers, current = self._power(program, trace, energy, cores, supply)
+        voltage = self.pdn.simulate(current, supply,
+                                    period=trace.period_cycles or None,
+                                    prefix=trace.prefix_cycles)
+        return _Deterministic(program, trace, *powers, voltage,
+                              voltage.v_min < self.critical_voltage_v())
 
-        core_power = self.power.core_power_w(program, trace, vdd=supply)
-        # Idle cores still burn clock and leakage.
-        idle = self.idle_core_power_w()
+    def _power(self, program: Program, trace: ExecutionTrace,
+               energy: np.ndarray, cores: int, supply: float
+               ) -> Tuple[Tuple[float, float, float], np.ndarray]:
+        """Power figures and die current of one run.
+
+        ``energy`` is the program's per-cycle dynamic energy at nominal
+        supply (:meth:`PowerModel.energy_traces_pj`); it is scaled to
+        ``supply`` once and feeds both the power figures and the
+        current.  Returns ``((core_power_w, noc_power_w,
+        chip_power_w), current_a)`` — the figures in
+        :class:`_Deterministic` field order, the current summed over
+        ``cores`` instances.  The serial and batched paths both derive
+        their power here.
+        """
+        power = self.power
+        energy = energy * (supply / self.arch.vdd_nominal) ** 2
+        core_power = power.mean_power_w(energy, supply)
         noc_power = self._noc_power_w(program, trace, cores, supply)
-        chip_power = self.power.chip_power_w(core_power, cores) \
-            + idle * (self.arch.core_count - cores) + noc_power
-
-        current = self.power.current_trace_a(program, trace, vdd=supply)
+        # Idle cores still burn clock and leakage.
+        chip_power = power.chip_power_w(core_power, cores) \
+            + self.idle_core_power_w() * (self.arch.core_count - cores) \
+            + noc_power
+        current = power.current_from_energy_a(energy, supply)
         # Independent per-core instances do not align their activity
         # phases, so AC current adds incoherently (~sqrt(N)) while the
         # DC component adds linearly.
         mean_current = float(np.mean(current))
         total_current = (mean_current * cores
                          + (current - mean_current) * np.sqrt(cores))
-        voltage = self.pdn.simulate(
-            total_current, supply,
-            period=trace.period_cycles or None,
-            prefix=trace.prefix_cycles)
-        return _Deterministic(
-            program=program, trace=trace, core_power_w=core_power,
-            noc_power_w=noc_power, chip_power_w=chip_power,
-            voltage=voltage,
-            crashed=voltage.v_min < self.critical_voltage_v())
+        return (core_power, noc_power, chip_power), total_current
 
     def run_source(self, source: str, name: str = "stress.s",
                    **kwargs) -> RunResult:
@@ -472,22 +495,26 @@ class BatchedMachine:
     pass: the pipeline model runs as a lockstep array simulation
     (:func:`repro.cpu.batch.simulate_population`), the power model's
     energy accumulation stacks into ``(population, cycles)`` arrays,
-    and the PDN responses solve as one vectorized Euler integration —
-    all bit-identical per individual to :meth:`SimulatedMachine.run`.
+    and the PDN responses solve as one vectorized Euler integration.
+    Only the pipeline and PDN steps differ from
+    :meth:`SimulatedMachine.run`: both paths share the argument checks,
+    the energy entry point (:meth:`PowerModel.energy_traces_pj`), the
+    power/current derivation (``SimulatedMachine._power``) and the
+    noise draws (``SimulatedMachine._draw``), so every observable is
+    bit-identical per individual.
 
     Measurement noise is replayed per individual: the caller passes one
     noise key per program (the evaluation layer's per-source substream
-    key) and the batch reseeds and draws each individual's noise in
-    exactly the order the serial path would, so every observable —
-    including the noisy samples — matches the serial result bit for
-    bit.  Because the underlying simulation is deterministic, repeated
+    key) and the batch reseeds before drawing each individual's noise.
+    Because the underlying simulation is deterministic, repeated
     measurements (``repeats > 1``) replay only the noise draws instead
     of re-running the simulator.
 
     Machines with a :class:`~repro.cpu.cache.MemoryHierarchy` attached
-    fall back to the serial path internally (the lockstep scheduler
-    models core-private execution only); the call still returns the
-    same results, just without the batching speedup.
+    simulate each program on the serial pipeline instead (the lockstep
+    scheduler models core-private execution only), once per program
+    however many repeats; the results are the same, just without the
+    lockstep speedup.
     """
 
     def __init__(self, machine: SimulatedMachine) -> None:
@@ -503,85 +530,44 @@ class BatchedMachine:
         """Run every program; returns one result list (``repeats`` long)
         per program, in order."""
         machine = self.machine
-        if duration_s <= 0:
-            raise SimulationError("duration must be positive")
-        if power_sample_count < 1:
-            raise SimulationError("need at least one power sample")
+        cores, supply = machine._run_arguments(duration_s, cores,
+                                               power_sample_count, supply_v)
         if repeats < 1:
             raise SimulationError("repeats must be >= 1")
-        cores = cores if cores is not None else 1
-        if not 1 <= cores <= machine.arch.core_count:
-            raise SimulationError(
-                f"cores={cores} outside 1..{machine.arch.core_count}")
         if noise_keys is not None and len(noise_keys) != len(programs):
             raise SimulationError("need one noise key per program")
         if not programs:
             return []
 
         if machine.hierarchy is not None:
-            # Cache modelling is core-private serial state; run the
-            # ordinary path per program (reseeding exactly as the
-            # evaluation layer would).
-            out: List[List[RunResult]] = []
-            for index, program in enumerate(programs):
-                if noise_keys is not None:
-                    machine.reseed(noise_keys[index])
-                out.append([
-                    machine.run(program, duration_s=duration_s, cores=cores,
-                                power_sample_count=power_sample_count,
-                                supply_v=supply_v)
-                    for _ in range(repeats)])
-            return out
-
-        from .batch import simulate_population
-        supply = supply_v if supply_v is not None else machine.supply_v
-        traces = simulate_population(
-            programs, machine.arch, max_cycles=machine.sim_cycles,
-            detect_steady_state=machine.steady_state_detection)
-
-        power = machine.power
-        scale = (supply / machine.arch.vdd_nominal) ** 2
-        static = power.static_power_w(supply)
-        frequency = machine.arch.frequency_hz
-        idle = machine.idle_core_power_w()
-        idle_cores = machine.arch.core_count - cores
-        root_cores = np.sqrt(cores)
-
-        energies = power.energy_traces_pj(programs, traces)
-        outcomes = []
-        currents: List[np.ndarray] = []
-        for program, trace, energy in zip(programs, traces, energies):
-            energy = energy * scale
-            # Mirrors PowerModel.core_power_w with the shared trace.
-            start = int(len(energy) * 0.2)
-            steady = energy[start:] if len(energy) > start else energy
-            mean_pj = float(np.mean(steady)) if len(steady) else 0.0
-            core_power = mean_pj * 1e-12 * frequency + static
-            noc_power = machine._noc_power_w(program, trace, cores, supply)
-            chip_power = power.chip_power_w(core_power, cores) \
-                + idle * idle_cores + noc_power
-            # Mirrors PowerModel.current_trace_a with the shared trace.
-            current = (energy * 1e-12 * frequency + static) / supply
-            mean_current = float(np.mean(current))
-            currents.append(mean_current * cores
-                            + (current - mean_current) * root_cores)
-            outcomes.append((program, trace, core_power, noc_power,
-                             chip_power))
-
-        voltages = machine.pdn.simulate_batch(
-            currents, supply,
-            periods=[t.period_cycles or None for t in traces],
-            prefixes=[t.prefix_cycles for t in traces])
-        critical = machine.critical_voltage_v()
+            # Cache modelling is core-private serial state: simulate
+            # each program on the serial pipeline (the hierarchy resets
+            # on every run, so each simulation is pure).
+            outcomes = [machine._deterministic(program, cores, supply)
+                        for program in programs]
+        else:
+            from .batch import simulate_population
+            traces = simulate_population(
+                programs, machine.arch, max_cycles=machine.sim_cycles,
+                detect_steady_state=machine.steady_state_detection)
+            energies = machine.power.energy_traces_pj(programs, traces)
+            powers, currents = zip(*(
+                machine._power(program, trace, energy, cores, supply)
+                for program, trace, energy
+                in zip(programs, traces, energies)))
+            voltages = machine.pdn.simulate_batch(
+                list(currents), supply,
+                periods=[t.period_cycles or None for t in traces],
+                prefixes=[t.prefix_cycles for t in traces])
+            critical = machine.critical_voltage_v()
+            outcomes = [
+                _Deterministic(program, trace, *figures, voltage,
+                               voltage.v_min < critical)
+                for program, trace, figures, voltage
+                in zip(programs, traces, powers, voltages)]
 
         results: List[List[RunResult]] = []
-        for index, (program, trace, core_power, noc_power, chip_power) \
-                in enumerate(outcomes):
-            voltage = voltages[index]
-            det = _Deterministic(
-                program=program, trace=trace, core_power_w=core_power,
-                noc_power_w=noc_power, chip_power_w=chip_power,
-                voltage=voltage, crashed=voltage.v_min < critical)
+        for index, det in enumerate(outcomes):
             if noise_keys is not None:
                 machine.reseed(noise_keys[index])
             results.append([

@@ -121,58 +121,53 @@ class PowerModel:
 
     def energy_trace_pj(self, program: Program,
                         trace: ExecutionTrace) -> np.ndarray:
-        """Dynamic energy per cycle (pJ) over the executed window.
-
-        Vectorised over the trace's compact form: energy is computed
-        for the simulated cycles only and tiled out to ``trace.cycles``
-        with :meth:`ExecutionTrace.expand`.  The accumulation order per
-        cycle (base, then window occupancy, then each issued slot in
-        issue order) matches the historical per-cycle Python loop
-        exactly, so the floating-point result is bit-identical.
-        """
-        slot_energy = self.slot_energies_pj(program)
-        arch = self.arch
-        per_sim = arch.base_cycle_pj + arch.window_slot_pj \
-            * trace.occupancy_counts.astype(np.float64)
-        counts = np.diff(trace.issue_offsets)
-        starts = trace.issue_offsets[:-1]
-        issue_energy = slot_energy[trace.issue_slots]
-        for position in range(int(counts.max()) if len(counts) else 0):
-            mask = counts > position
-            per_sim[mask] += issue_energy[starts[mask] + position]
-        per_cycle = trace.expand(per_sim)
-        if trace.extra_energy_per_cycle is not None:
-            per_cycle = per_cycle + np.asarray(trace.extra_energy_per_cycle)
-        return per_cycle
+        """Dynamic energy per cycle (pJ) over the executed window (one
+        row of :meth:`energy_traces_pj`)."""
+        return self.energy_traces_pj([program], [trace])[0]
 
     def energy_traces_pj(self, programs: "List[Program]",
                          traces: "List[ExecutionTrace]"
                          ) -> "List[np.ndarray]":
-        """Per-cycle dynamic energy for a whole population at once.
+        """Per-cycle dynamic energy (pJ) of each program over its
+        executed window — the power model's one energy entry point.
 
-        Bit-identical to calling :meth:`energy_trace_pj` per pair: when
-        every trace simulated the same number of cycles (the common
-        case for a batched generation) the base + window-occupancy term
-        and the per-issue-position accumulation run as single
-        ``(population, cycles)`` array operations — each element sees
-        the same IEEE operations in the same order as the per-row path.
-        Ragged batches (mixed steady-state windows, cache effects) fall
-        back to the per-row computation.
+        Vectorised over the traces' compact form: energy is computed
+        for the simulated cycles only and tiled out to ``trace.cycles``
+        with :meth:`ExecutionTrace.expand`.  Traces that simulated the
+        same number of cycles accumulate together: the base +
+        window-occupancy term and the per-issue-position accumulation
+        run as single ``(rows, cycles)`` array operations.  The
+        accumulation order per cycle (base, then window occupancy, then
+        each issued slot in issue order) matches the historical
+        per-cycle Python loop exactly, so every row is bit-identical to
+        it.  Cache-stall energy, when a trace carries it, is added
+        after tiling.
         """
         if len(programs) != len(traces):
             raise ValueError("programs/traces length mismatch")
-        population = len(programs)
-        if population == 0:
-            return []
-        sim_lengths = {len(t.occupancy_counts) for t in traces}
-        uniform = len(sim_lengths) == 1 and all(
-            t.extra_energy_per_cycle is None for t in traces)
-        if not uniform:
-            return [self.energy_trace_pj(program, trace)
-                    for program, trace in zip(programs, traces)]
-        n_sim = sim_lengths.pop()
-        arch = self.arch
+        by_length: Dict[int, List[int]] = {}
+        for row, trace in enumerate(traces):
+            by_length.setdefault(len(trace.occupancy_counts), []).append(row)
+        energies: List[np.ndarray] = [None] * len(traces)
+        for rows in by_length.values():
+            group = [traces[row] for row in rows]
+            per_sim = self._accumulate_pj([programs[row] for row in rows],
+                                          group)
+            for row, trace, values in zip(rows, group, per_sim):
+                per_cycle = trace.expand(values)
+                if trace.extra_energy_per_cycle is not None:
+                    per_cycle = per_cycle \
+                        + np.asarray(trace.extra_energy_per_cycle)
+                energies[row] = per_cycle
+        return energies
 
+    def _accumulate_pj(self, programs: "List[Program]",
+                       traces: "List[ExecutionTrace]") -> np.ndarray:
+        """``(rows, cycles)`` energy per simulated cycle of traces that
+        all simulated the same number of cycles."""
+        population = len(programs)
+        n_sim = len(traces[0].occupancy_counts)
+        arch = self.arch
         occ = np.empty((population, n_sim), dtype=np.float64)
         for row, trace in enumerate(traces):
             occ[row] = trace.occupancy_counts
@@ -184,8 +179,7 @@ class PowerModel:
         slot_base = np.zeros(population, dtype=np.int64)
         for row in range(1, population):
             slot_base[row] = slot_base[row - 1] + len(slot_energy[row - 1])
-        energy_flat = np.concatenate(slot_energy) if slot_energy else \
-            np.empty(0)
+        energy_flat = np.concatenate(slot_energy)
         issue_energy = [
             energy_flat[trace.issue_slots + slot_base[row]]
             if len(trace.issue_slots) else np.empty(0)
@@ -193,8 +187,7 @@ class PowerModel:
         issue_base = np.zeros(population, dtype=np.int64)
         for row in range(1, population):
             issue_base[row] = issue_base[row - 1] + len(issue_energy[row - 1])
-        issue_flat = np.concatenate(issue_energy) if issue_energy else \
-            np.empty(0)
+        issue_flat = np.concatenate(issue_energy)
 
         counts = np.empty((population, n_sim), dtype=np.int64)
         starts = np.empty((population, n_sim), dtype=np.int64)
@@ -205,16 +198,20 @@ class PowerModel:
         for position in range(max_count):
             mask = counts > position
             per_sim[mask] += issue_flat[starts[mask] + position]
-
-        return [trace.expand(per_sim[row])
-                for row, trace in enumerate(traces)]
+        return per_sim
 
     def current_trace_a(self, program: Program, trace: ExecutionTrace,
                         vdd: float | None = None) -> np.ndarray:
         """Per-cycle die current draw (amps) for the PDN model."""
         vdd = vdd if vdd is not None else self.arch.vdd_nominal
         scale = (vdd / self.arch.vdd_nominal) ** 2
-        energy_pj = self.energy_trace_pj(program, trace) * scale
+        return self.current_from_energy_a(
+            self.energy_trace_pj(program, trace) * scale, vdd)
+
+    def current_from_energy_a(self, energy_pj: np.ndarray,
+                              vdd: float) -> np.ndarray:
+        """Per-cycle die current (amps) of an energy trace already
+        scaled to ``vdd``."""
         dynamic_power_w = energy_pj * 1e-12 * self.arch.frequency_hz
         total_power_w = dynamic_power_w + self.static_power_w(vdd)
         return total_power_w / vdd
@@ -231,9 +228,15 @@ class PowerModel:
         """Average single-core power over the post-warm-up window."""
         vdd = vdd if vdd is not None else self.arch.vdd_nominal
         scale = (vdd / self.arch.vdd_nominal) ** 2
-        energy = self.energy_trace_pj(program, trace) * scale
-        start = int(len(energy) * warmup_fraction)
-        steady = energy[start:] if len(energy) > start else energy
+        return self.mean_power_w(self.energy_trace_pj(program, trace) * scale,
+                                 vdd, warmup_fraction)
+
+    def mean_power_w(self, energy_pj: np.ndarray, vdd: float,
+                     warmup_fraction: float = 0.2) -> float:
+        """Average single-core power of an energy trace already scaled
+        to ``vdd``, over the post-warm-up window."""
+        start = int(len(energy_pj) * warmup_fraction)
+        steady = energy_pj[start:] if len(energy_pj) > start else energy_pj
         mean_pj = float(np.mean(steady)) if len(steady) else 0.0
         return mean_pj * 1e-12 * self.arch.frequency_hz \
             + self.static_power_w(vdd)

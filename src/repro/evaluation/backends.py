@@ -2,29 +2,44 @@
 
 GeST measures a generation's individuals on however many target boards
 are attached; the backend abstraction reproduces that degree of
-freedom.  A backend takes the pre-rendered jobs the driver could not
-satisfy from cache and returns one :class:`EvaluationResult` per job,
-**in submission order** — the driver merges them back into the
-population in deterministic uid order, so every backend yields
-bit-identical checkpoints, populations and run histories.
+freedom.  A backend has one entry point, :meth:`ExecutorBackend.evaluate`,
+which receives a whole generation's pre-rendered cache misses at once
+and returns one :class:`EvaluationResult` per job, **in submission
+order** — the driver merges them back into the population in
+deterministic uid order, so every backend yields bit-identical
+checkpoints, populations and run histories.
 
 * :class:`SerialBackend` — the default: evaluates in the driver
   process against the live plug-in objects, sharing their state
   (screen counters, call counters in test doubles) exactly as the old
   monolithic engine loop did.
 
-* :class:`ProcessPoolBackend` — fans jobs out over N forked worker
-  processes.  Each worker inherits a *replica* of the whole pipeline —
-  its own :class:`~repro.cpu.machine.SimulatedMachine`, measurement,
-  fitness and screen — so per-board state never races.  Requires the
-  ``fork`` start method (the pipeline deliberately replicates by
-  inheritance so even unpicklable user plug-ins parallelise); results
-  and the per-job individuals are pickled across the process boundary.
+* :class:`BatchedBackend` — runs the generation as one vectorized
+  :class:`~repro.cpu.machine.BatchedMachine` pass, falling back to the
+  serial loop when the pipeline cannot batch.
 
-An :class:`EmptyMeasurementError` raised inside a worker is returned
-*in band* as the result item for its job; the driver applies every
-result before the failure point, checkpoints, and re-raises — so a
-plug-in bug costs at most one generation regardless of backend.
+* :class:`ProcessPoolBackend` — sends one contiguous slice of the
+  generation to each of N forked worker processes, which evaluate it
+  through a worker-local :class:`BatchedBackend`.  Each worker inherits
+  a *replica* of the whole pipeline — its own
+  :class:`~repro.cpu.machine.SimulatedMachine`, measurement, fitness
+  and screen — so per-board state never races.  Requires the ``fork``
+  start method (the pipeline deliberately replicates by inheritance so
+  even unpicklable user plug-ins parallelise); results and the per-job
+  individuals are pickled across the process boundary.
+
+* :class:`AutoSelectBackend` — routes each generation to one of the
+  three above.
+
+The stages themselves (screen verdicts, zero-fitness failures, the
+empty-measurement error, scoring) live on
+:class:`~repro.evaluation.pipeline.EvaluationPipeline`; backends only
+decide how jobs are grouped and where they run.
+
+An :class:`EmptyMeasurementError` raised for a job is returned *in
+band* as the final result item; the driver applies every result before
+the failure point, checkpoints, and re-raises — so a plug-in bug costs
+at most one generation regardless of backend.
 """
 
 from __future__ import annotations
@@ -62,7 +77,8 @@ class ExecutorBackend(ABC):
     @abstractmethod
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        """Evaluate ``jobs``; results in submission order.
+        """Evaluate ``jobs`` — the whole generation's cache misses;
+        results in submission order.
 
         Stops dispatching after the first
         :class:`EmptyMeasurementError`, which is appended in band as
@@ -138,7 +154,9 @@ class BatchedBackend(ExecutorBackend):
     :class:`~repro.cpu.machine.BatchedMachine` pass
     — pipeline lockstep simulation, ``(population, cycles)`` energy
     accumulation and a vectorized PDN solve.  Per-individual noise
-    substreams are replayed afterwards in job order, so every
+    substreams are replayed afterwards in job order, and every
+    per-individual step — screen verdict, failure results, scoring and
+    the empty-measurement error — is the pipeline's own, so every
     observable is bit-identical to :class:`SerialBackend`.
 
     Pipelines that cannot batch (custom measurements without
@@ -152,44 +170,22 @@ class BatchedBackend(ExecutorBackend):
 
     shares_state = True
 
-    def __init__(self) -> None:
-        self._pipeline: Optional[EvaluationPipeline] = None
-        self._batched: Optional[BatchedMachine] = None
-
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        return self.evaluate_generation(pipeline, jobs)
-
-    def evaluate_generation(self, pipeline: EvaluationPipeline,
-                            jobs: Sequence[Job]) -> List[ResultOrError]:
         if not jobs:
             return []
         if not supports_batching(pipeline):
             return _serial_loop(pipeline, jobs)
         measurement = pipeline.measurement
-        machine: SimulatedMachine = measurement.target.machine
-        if self._pipeline is not pipeline:
-            self._pipeline = pipeline
-            self._batched = BatchedMachine(machine)
 
-        n = len(jobs)
-        slots: List[Optional[ResultOrError]] = [None] * n
-        timings = [StageTimings() for _ in range(n)]
+        slots: List[Optional[EvaluationResult]] = [None] * len(jobs)
+        timings = [StageTimings() for _ in jobs]
         programs = {}
         deltas = {}
         for index, (individual, source) in enumerate(jobs):
-            hits_before, misses_before = pipeline.compile_counters()
-            failed: Optional[EvaluationResult] = None
-            if pipeline.screen is not None:
-                began = perf_counter()  # staticcheck: disable=SC404
-                report = pipeline.run_screen(source, individual)
-                timings[index].screen_s += perf_counter() - began  # staticcheck: disable=SC404
-                if not report.passed:
-                    failed = EvaluationResult(
-                        uid=individual.uid, source=source,
-                        measurements=[0.0], fitness=0.0,
-                        compile_failed=report.assembly_failed,
-                        screen_failed=True, timings=timings[index])
+            before = pipeline.compile_counters()
+            failed = pipeline.screen_stage(individual, source,
+                                           timings[index])
             if failed is None:
                 # Compile through the shared path; a source the screen
                 # just assembled is a compile-cache hit.
@@ -197,13 +193,11 @@ class BatchedBackend(ExecutorBackend):
                 try:
                     programs[index] = pipeline.compile(source)
                 except AssemblyError:
-                    failed = EvaluationResult(
-                        uid=individual.uid, source=source,
-                        measurements=[0.0], fitness=0.0,
-                        compile_failed=True, timings=timings[index])
+                    failed = pipeline.rejected(individual, source,
+                                               timings[index],
+                                               compile_failed=True)
                 timings[index].measure_s += perf_counter() - began  # staticcheck: disable=SC404
-            hits, misses = pipeline.compile_counters()
-            deltas[index] = (hits - hits_before, misses - misses_before)
+            deltas[index] = pipeline.compile_deltas(before)
             if failed is not None:
                 failed.compile_cache_hits, failed.compile_cache_misses = \
                     deltas[index]
@@ -212,56 +206,39 @@ class BatchedBackend(ExecutorBackend):
         # Execute the whole batch.
         began_measure = perf_counter()  # staticcheck: disable=SC404
         batch_rows = sorted(programs)
-        rounds_by_row: List[List] = []
-        if batch_rows:
-            rounds_by_row = self._batched.run_batch(
-                [programs[index] for index in batch_rows],
-                duration_s=measurement.duration_s,
-                cores=measurement.cores,
-                power_sample_count=measurement.sample_count,
-                noise_keys=[noise_key(pipeline.noise_seed, jobs[index][1])
-                            for index in batch_rows],
-                repeats=measurement.repeats)
+        rounds_by_row = BatchedMachine(measurement.target.machine).run_batch(
+            [programs[index] for index in batch_rows],
+            duration_s=measurement.duration_s,
+            cores=measurement.cores,
+            power_sample_count=measurement.sample_count,
+            noise_keys=[noise_key(pipeline.noise_seed, jobs[index][1])
+                        for index in batch_rows],
+            repeats=measurement.repeats)
         measure_share = (perf_counter() - began_measure) \
             / max(1, len(batch_rows))
         for index in batch_rows:
             timings[index].measure_s += measure_share
 
         # Interpret, aggregate and score per individual, in job order.
-        error_at: Optional[int] = None
-        error: Optional[EmptyMeasurementError] = None
         for row, index in enumerate(batch_rows):
             individual, source = jobs[index]
             rounds = [measurement.measure_from_result(result, individual)
                       for result in rounds_by_row[row]]
             measurements = measurement.aggregate_rounds(rounds, individual)
-            if not measurements:
-                error_at = index
-                error = EmptyMeasurementError(
-                    f"measurement {type(measurement).__name__!r} returned "
-                    f"an empty result list for individual "
-                    f"uid={individual.uid} in generation "
-                    f"{individual.generation}")
-                break
-            began = perf_counter()  # staticcheck: disable=SC404
-            value = pipeline.score(measurements, individual)
-            timings[index].score_s += perf_counter() - began  # staticcheck: disable=SC404
-            hits, misses = deltas[index]
-            slots[index] = EvaluationResult(
-                uid=individual.uid, source=source,
-                measurements=list(measurements), fitness=value,
-                timings=timings[index],
-                compile_cache_hits=hits, compile_cache_misses=misses)
-
-        if error is not None:
-            # Mirror the serial stop point: everything before the
-            # failing job stands, the error goes in band, later results
-            # (already computed, as with any parallel dispatch) drop.
-            results: List[ResultOrError] = [
-                item for item in slots[:error_at] if item is not None]
-            results.append(error)
-            return results
-        return [item for item in slots if item is not None]
+            try:
+                result = pipeline.scored(individual, source, measurements,
+                                         timings[index])
+            except EmptyMeasurementError as error:
+                # Mirror the serial stop point: everything before the
+                # failing job stands, the error goes in band, later
+                # results (already computed, as with any parallel
+                # dispatch) drop.
+                return [item for item in slots[:index]
+                        if item is not None] + [error]
+            result.compile_cache_hits, result.compile_cache_misses = \
+                deltas[index]
+            slots[index] = result
+        return slots
 
 
 # -- worker-side plumbing (module-level so the pool can address it) ---------
@@ -274,47 +251,21 @@ def _init_worker(pipeline: EvaluationPipeline) -> None:
     _WORKER_PIPELINE = pipeline
 
 
-def _run_job(job: Job) -> ResultOrError:
-    individual, source = job
-    try:
-        return _WORKER_PIPELINE.evaluate(individual, source=source)
-    except EmptyMeasurementError as exc:
-        return exc
-
-
-_WORKER_BATCHED: Optional[BatchedBackend] = None
-
-
-def _run_subbatch(chunk: Sequence[Job]) -> List[ResultOrError]:
-    """Evaluate a contiguous slice of the generation as one batch.
-
-    The worker-global :class:`BatchedBackend` runs the slice through
-    the vectorized path against the worker's forked pipeline replica —
-    the pool's parallelism composes with the batch speedup instead of
-    competing with it.
-    """
-    global _WORKER_BATCHED
-    if _WORKER_BATCHED is None:
-        _WORKER_BATCHED = BatchedBackend()
-    return _WORKER_BATCHED.evaluate_generation(_WORKER_PIPELINE, chunk)
-
-
 def _run_chunk(chunk: Sequence[Job]) -> List[ResultOrError]:
-    """Evaluate a contiguous slice of the generation in one worker.
+    """Evaluate one worker's contiguous slice of the generation.
 
-    One pickled round trip carries the whole slice's jobs out and its
-    results back — per-individual dispatch costs one IPC exchange per
-    *individual*, which at simulator evaluation rates dominates the
-    work itself and made the pool slower than serial.  Stops at the
-    first in-band failure, mirroring SerialBackend within the slice.
+    A :class:`BatchedBackend` runs the slice through the vectorized
+    path against the worker's forked pipeline replica (or the serial
+    loop when the pipeline cannot batch) — the pool's parallelism
+    composes with the batch speedup instead of competing with it.  One
+    pickled round trip carries the whole slice out and its results
+    back.
     """
-    results: List[ResultOrError] = []
-    for job in chunk:
-        item = _run_job(job)
-        results.append(item)
-        if isinstance(item, EmptyMeasurementError):
-            break
-    return results
+    return BatchedBackend().evaluate(_WORKER_PIPELINE, chunk)
+
+
+# perfbench/trace_spans.py wraps the worker under both names it has had.
+_run_subbatch = _run_chunk
 
 
 class ProcessPoolBackend(ExecutorBackend):
@@ -341,17 +292,6 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        return self._fan_out(pipeline, jobs, _run_chunk)
-
-    def evaluate_generation(self, pipeline: EvaluationPipeline,
-                            jobs: Sequence[Job]) -> List[ResultOrError]:
-        """Fan out as contiguous sub-batches, each evaluated through a
-        worker-local :class:`BatchedBackend` — vectorized execution
-        inside every worker, process parallelism across them."""
-        return self._fan_out(pipeline, jobs, _run_subbatch)
-
-    def _fan_out(self, pipeline: EvaluationPipeline,
-                 jobs: Sequence[Job], runner) -> List[ResultOrError]:
         if not jobs:
             return []
         pool = self._ensure_pool(pipeline)
@@ -371,15 +311,14 @@ class ProcessPoolBackend(ExecutorBackend):
             chunks.append(list(jobs[start:start + size]))
             start += size
         results: List[ResultOrError] = []
-        for chunk_results in pool.map(runner, chunks, chunksize=1):
-            stop = False
+        # Dispatch through the defined name: pickle finds a task by
+        # its __qualname__, so a wrapper bound to the alias would not
+        # resolve.
+        for chunk_results in pool.map(_run_chunk, chunks, chunksize=1):
             for item in chunk_results:
                 results.append(item)
                 if isinstance(item, EmptyMeasurementError):
-                    stop = True
-                    break
-            if stop:
-                break
+                    return results
         return results
 
     def _ensure_pool(self, pipeline: EvaluationPipeline):
@@ -450,15 +389,8 @@ class AutoSelectBackend(ExecutorBackend):
 
     def evaluate(self, pipeline: EvaluationPipeline,
                  jobs: Sequence[Job]) -> List[ResultOrError]:
-        return self.evaluate_generation(pipeline, jobs)
-
-    def evaluate_generation(self, pipeline: EvaluationPipeline,
-                            jobs: Sequence[Job]) -> List[ResultOrError]:
-        delegate = self._choose(pipeline, jobs)
-        self._last = delegate
-        if isinstance(delegate, ProcessPoolBackend):
-            return delegate.evaluate_generation(pipeline, jobs)
-        return delegate.evaluate(pipeline, jobs)
+        self._last = self._choose(pipeline, jobs)
+        return self._last.evaluate(pipeline, jobs)
 
     def _choose(self, pipeline: EvaluationPipeline,
                 jobs: Sequence[Job]) -> ExecutorBackend:

@@ -92,15 +92,9 @@ class StagedEvaluator:
             else:
                 jobs.append((individual, source))
 
-        # Generation-aware backends get the whole batch at once (the
-        # vectorized path needs to see every miss together); classic
-        # backends keep their per-job evaluate contract.
-        runner = getattr(self.backend, "evaluate_generation", None)
-        if callable(runner):
-            items = runner(self.pipeline, jobs)
-        else:
-            items = self.backend.evaluate(self.pipeline, jobs)
-        for item in items:
+        # The backend sees every miss together (the vectorized path
+        # needs the whole generation).
+        for item in self.backend.evaluate(self.pipeline, jobs):
             if isinstance(item, EmptyMeasurementError):
                 outcome.error = item
                 break

@@ -338,57 +338,77 @@ class EvaluationPipeline:
             began = perf_counter()  # staticcheck: disable=SC404
             source = self.render(individual)
             timings.render_s += perf_counter() - began  # staticcheck: disable=SC404
-
-        hits_before, misses_before = self.compile_counters()
-
-        def compile_deltas():
-            hits, misses = self.compile_counters()
-            return hits - hits_before, misses - misses_before
-
-        if self.screen is not None:
+        before = self.compile_counters()
+        result = self.screen_stage(individual, source, timings)
+        if result is None:
             began = perf_counter()  # staticcheck: disable=SC404
-            report = self.run_screen(source, individual)
-            timings.screen_s += perf_counter() - began  # staticcheck: disable=SC404
-            if not report.passed:
-                # Same zero-fitness path as a compile failure, but the
-                # individual never enters the pipeline model.
-                hits, misses = compile_deltas()
-                return EvaluationResult(
-                    uid=individual.uid, source=source,
-                    measurements=[0.0], fitness=0.0,
-                    compile_failed=report.assembly_failed,
-                    screen_failed=True, timings=timings,
-                    compile_cache_hits=hits, compile_cache_misses=misses)
-
-        began = perf_counter()  # staticcheck: disable=SC404
-        if self._reseed is not None:
-            self._reseed(noise_key(self.noise_seed, source))
-        try:
-            measurements = self.measurement.measure_repeated(source,
-                                                             individual)
-        except AssemblyError:
+            if self._reseed is not None:
+                self._reseed(noise_key(self.noise_seed, source))
+            try:
+                measurements = self.measurement.measure_repeated(
+                    source, individual)
+            except AssemblyError:
+                result = self.rejected(individual, source, timings,
+                                       compile_failed=True)
             timings.measure_s += perf_counter() - began  # staticcheck: disable=SC404
-            hits, misses = compile_deltas()
-            return EvaluationResult(
-                uid=individual.uid, source=source,
-                measurements=[0.0], fitness=0.0,
-                compile_failed=True, timings=timings,
-                compile_cache_hits=hits, compile_cache_misses=misses)
-        timings.measure_s += perf_counter() - began  # staticcheck: disable=SC404
+        if result is None:
+            result = self.scored(individual, source, measurements, timings)
+        result.compile_cache_hits, result.compile_cache_misses = \
+            self.compile_deltas(before)
+        return result
 
+    # -- stage steps shared with the batched backend ------------------------
+
+    def screen_stage(self, individual: Individual, source: str,
+                     timings: StageTimings) -> Optional[EvaluationResult]:
+        """Stage 2 with its verdict: the zero-fitness result when the
+        screen rejects ``source``, else None (also without a screen)."""
+        if self.screen is None:
+            return None
+        began = perf_counter()  # staticcheck: disable=SC404
+        report = self.run_screen(source, individual)
+        timings.screen_s += perf_counter() - began  # staticcheck: disable=SC404
+        if report.passed:
+            return None
+        # Same zero-fitness path as a compile failure, but the
+        # individual never enters the pipeline model.
+        return self.rejected(individual, source, timings,
+                             compile_failed=report.assembly_failed,
+                             screen_failed=True)
+
+    def rejected(self, individual: Individual, source: str,
+                 timings: StageTimings, compile_failed: bool,
+                 screen_failed: bool = False) -> EvaluationResult:
+        """The zero-fitness result of a screen or assembly failure."""
+        return EvaluationResult(
+            uid=individual.uid, source=source, measurements=[0.0],
+            fitness=0.0, compile_failed=compile_failed,
+            screen_failed=screen_failed, timings=timings)
+
+    def scored(self, individual: Individual, source: str,
+               measurements: Sequence[float],
+               timings: StageTimings) -> EvaluationResult:
+        """Stage 4: score ``measurements`` into the individual's result.
+
+        Raises :class:`EmptyMeasurementError`, naming the individual,
+        when ``measurements`` is empty.
+        """
         if not measurements:
             raise EmptyMeasurementError(
                 f"measurement {type(self.measurement).__name__!r} returned "
                 f"an empty result list for individual "
                 f"uid={individual.uid} in generation "
                 f"{individual.generation}")
-
         began = perf_counter()  # staticcheck: disable=SC404
         value = self.score(measurements, individual)
         timings.score_s += perf_counter() - began  # staticcheck: disable=SC404
-        hits, misses = compile_deltas()
         return EvaluationResult(
             uid=individual.uid, source=source,
             measurements=list(measurements), fitness=value,
-            timings=timings,
-            compile_cache_hits=hits, compile_cache_misses=misses)
+            timings=timings)
+
+    def compile_deltas(self, before: tuple) -> tuple:
+        """Compile-cache (hits, misses) since ``before``, a
+        :meth:`compile_counters` reading."""
+        hits, misses = self.compile_counters()
+        return hits - before[0], misses - before[1]

@@ -272,13 +272,13 @@ class TestBatchedBackendGoldens:
         backend = AutoSelectBackend(pool_workers=1)
         pipeline = _build_pipeline(config)
         small = _jobs(pipeline, config, 3)
-        backend.evaluate_generation(pipeline, small)
+        backend.evaluate(pipeline, small)
         assert backend.last_choice == "serial"
         assert "3 jobs" in backend.last_reason
         jobs = _jobs(pipeline, config, 12)
         for individual, _ in jobs:
             individual.uid += 100
-        backend.evaluate_generation(pipeline, jobs)
+        backend.evaluate(pipeline, jobs)
         assert backend.last_choice == "batched"
         assert backend.shares_state
 
