@@ -22,8 +22,7 @@ from repro.core.engine import GeneticEngine
 from repro.cpu import SimulatedMachine, SimulatedTarget
 from repro.cpu.cache import MemoryHierarchy
 from repro.evaluation import (EvaluationCache, ProcessPoolBackend,
-                              SerialBackend, backends)
-from repro.evaluation.pipeline import EmptyMeasurementError
+                              SerialBackend)
 from repro.fitness.default_fitness import DefaultFitness
 from repro.measurement.power import PowerMeasurement
 
@@ -33,37 +32,6 @@ OUTPUT = REPO_ROOT / "BENCH_evaluation.json"
 
 POPULATION = 16
 GENERATIONS = 4
-
-
-def _run_job(job):
-    """Evaluate one job against the forked worker's pipeline replica."""
-    individual, source = job
-    try:
-        return backends._WORKER_PIPELINE.evaluate(individual, source=source)
-    except EmptyMeasurementError as exc:
-        return exc
-
-
-class PerJobPoolBackend(ProcessPoolBackend):
-    """The pre-chunking dispatch strategy: one IPC round trip per
-    individual.  Kept here as the baseline for the dispatch-overhead
-    comparison — the chunked backend replaced it precisely because at
-    simulator evaluation rates the round trips dominated the work."""
-
-    #: Generations this backend dispatched (the bench asserts it ran).
-    calls = 0
-
-    def evaluate(self, pipeline, jobs):
-        if not jobs:
-            return []
-        PerJobPoolBackend.calls += 1
-        pool = self._ensure_pool(pipeline)
-        results = []
-        for item in pool.imap(_run_job, list(jobs), chunksize=1):
-            results.append(item)
-            if isinstance(item, EmptyMeasurementError):
-                break
-        return results
 
 
 def _engine(backend=None, cache=None):
@@ -111,13 +79,9 @@ def test_bench_evaluation_throughput(benchmark):
     for workers in (2, 4):
         results["backends"][f"pool_{workers}"] = _timed_run(
             ProcessPoolBackend(workers))
-    results["backends"]["pool_4_per_job"] = _timed_run(
-        PerJobPoolBackend(4))
-    # The per-job baseline must really have dispatched every generation.
-    assert PerJobPoolBackend.calls == GENERATIONS, PerJobPoolBackend.calls
 
     serial_rate = results["backends"]["serial"]["individuals_per_second"]
-    for key in ("pool_2", "pool_4", "pool_4_per_job"):
+    for key in ("pool_2", "pool_4"):
         pooled = results["backends"][key]
         pooled["speedup_vs_serial"] = round(
             pooled["individuals_per_second"] / serial_rate, 3)
@@ -126,17 +90,6 @@ def test_bench_evaluation_throughput(benchmark):
     fitnesses = {v["best_fitness"] for v in results["backends"].values()}
     assert len(fitnesses) == 1, \
         f"backends diverged: {results['backends']}"
-
-    # The dispatch fix itself, measured independently of core count:
-    # one round trip per worker chunk must beat one per individual.
-    chunked = results["backends"]["pool_4"]["individuals_per_second"]
-    per_job = results["backends"]["pool_4_per_job"][
-        "individuals_per_second"]
-    results["dispatch_speedup_chunked_vs_per_job"] = round(
-        chunked / per_job, 3)
-    assert chunked >= per_job, (
-        f"chunked dispatch ({chunked} ind/s) regressed below per-job "
-        f"dispatch ({per_job} ind/s)")
 
     # True parallel speedup needs real cores; on starved CI boxes the
     # pool can only tie serial, so the wall-clock gate is conditional.

@@ -55,9 +55,10 @@ Why the lockstep step can be exact
   if a pathological stall makes the window span approach ``R``.
 
 Steady-state recurrence is detected per individual with the serial
-snapshot cadence (on fetch wrap, sampling interval doubling every 16
-snapshots).  The key is a different — but equally canonical —
-relativisation of the scheduler state: fetch phase, window contents
+snapshot cadence (on fetch wrap, sampling interval growing as
+``pipeline.SNAPSHOTS_PER_INTERVAL``/``INTERVAL_GROWTH`` set).  The
+key is a different — but equally canonical — relativisation of the
+scheduler state: fetch phase, window contents
 relative to the fetch head, completion deltas for exactly the ids a
 future cycle can still observe (the window span plus one loop length
 behind the head — older ids are unreachable, and including them would
@@ -86,7 +87,8 @@ import numpy as np
 from ..core.errors import SimulationError
 from ..isa.model import Program
 from .microarch import MicroArch
-from .pipeline import ExecutionTrace, PipelineSimulator
+from .pipeline import (INTERVAL_GROWTH, SNAPSHOTS_PER_INTERVAL,
+                       ExecutionTrace, PipelineSimulator, slot_timing)
 
 __all__ = ["simulate_population"]
 
@@ -124,11 +126,8 @@ class _ProgramTables:
             key = (instr.group, instr.iclass)
             entry = memo_get(key)
             if entry is None:
-                group = instr.group or instr.iclass.value
-                entry = (group,
-                         port_index[arch.port_group_of(group, instr.iclass)],
-                         arch.latency_of(group, instr.iclass),
-                         arch.initiation_interval(group, instr.iclass))
+                group, port, latency, interval = slot_timing(instr, arch)
+                entry = (group, port_index[port], latency, interval)
                 lookup_memo[key] = entry
             entries.append(entry)
         self.groups = [entry[0] for entry in entries]
@@ -544,7 +543,7 @@ def _check_recurrence(due_rows, act, w_dyn, ring, busy, release,
             continue
         seen_states[g][key] = cycle
         snapshots_at_interval[g] += 1
-        if snapshots_at_interval[g] >= 16:
+        if snapshots_at_interval[g] >= SNAPSHOTS_PER_INTERVAL:
             snapshots_at_interval[g] = 0
-            snapshot_interval[g] *= 2
+            snapshot_interval[g] *= INTERVAL_GROWTH
     return finished

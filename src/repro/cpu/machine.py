@@ -367,6 +367,16 @@ class SimulatedMachine:
         trace = self.pipeline.execute(program, max_cycles=self.sim_cycles,
                                       hierarchy=self.hierarchy)
         energy, = self.power.energy_traces_pj([program], [trace])
+        return self._outcome(program, trace, energy, cores, supply)
+
+    def _outcome(self, program: Program, trace: ExecutionTrace,
+                 energy: np.ndarray, cores: int,
+                 supply: float) -> "_Deterministic":
+        """The noise-free outcome of one run from its pipeline trace and
+        that trace's :meth:`PowerModel.energy_traces_pj` row: power
+        (:meth:`_power`), the PDN response (hinted with the trace's
+        steady-state period) and the crash verdict.  :meth:`run` and
+        :meth:`BatchedMachine.run_batch` both build outcomes here."""
         powers, current = self._power(program, trace, energy, cores, supply)
         voltage = self.pdn.simulate(current, supply,
                                     period=trace.period_cycles or None,
@@ -385,8 +395,7 @@ class SimulatedMachine:
         current.  Returns ``((core_power_w, noc_power_w,
         chip_power_w), current_a)`` — the figures in
         :class:`_Deterministic` field order, the current summed over
-        ``cores`` instances.  The serial and batched paths both derive
-        their power here.
+        ``cores`` instances.
         """
         power = self.power
         energy = energy * (supply / self.arch.vdd_nominal) ** 2
@@ -493,28 +502,28 @@ class BatchedMachine:
 
     :meth:`run_batch` evaluates a whole generation's programs in one
     pass: the pipeline model runs as a lockstep array simulation
-    (:func:`repro.cpu.batch.simulate_population`), the power model's
-    energy accumulation stacks into ``(population, cycles)`` arrays,
-    and the PDN responses solve as one vectorized Euler integration.
-    Only the pipeline and PDN steps differ from
-    :meth:`SimulatedMachine.run`: both paths share the argument checks,
-    the energy entry point (:meth:`PowerModel.energy_traces_pj`), the
-    power/current derivation (``SimulatedMachine._power``) and the
-    noise draws (``SimulatedMachine._draw``), so every observable is
-    bit-identical per individual.
+    (:func:`repro.cpu.batch.simulate_population`) and the power model's
+    energy accumulation stacks into ``(population, cycles)`` arrays.
+    Only the scheduler differs from :meth:`SimulatedMachine.run`: both
+    paths share the argument checks, the energy entry point
+    (:meth:`PowerModel.energy_traces_pj`), the noise-free outcome
+    (``SimulatedMachine._outcome``: power, PDN response, crash verdict)
+    and the noise draws (``SimulatedMachine._draw``), so every
+    observable is bit-identical per individual.
 
-    Measurement noise is replayed per individual: the caller passes one
-    noise key per program (the evaluation layer's per-source substream
-    key) and the batch reseeds before drawing each individual's noise.
-    Because the underlying simulation is deterministic, repeated
-    measurements (``repeats > 1``) replay only the noise draws instead
-    of re-running the simulator.
+    Rows that share a Program object are simulated once.  Measurement
+    noise is replayed per row: the caller passes one noise key per
+    program (the evaluation layer's per-source substream key) and the
+    batch reseeds before drawing each row's noise.  Because the
+    simulation is deterministic, repeated measurements (``repeats >
+    1``) replay only the noise draws instead of re-running the
+    simulator.
 
     Machines with a :class:`~repro.cpu.cache.MemoryHierarchy` attached
-    simulate each program on the serial pipeline instead (the lockstep
-    scheduler models core-private execution only), once per program
-    however many repeats; the results are the same, just without the
-    lockstep speedup.
+    take their traces from the serial pipeline instead (the lockstep
+    scheduler models core-private execution only), once per distinct
+    program however many repeats; the results are the same, just
+    without the lockstep speedup.
     """
 
     def __init__(self, machine: SimulatedMachine) -> None:
@@ -539,37 +548,30 @@ class BatchedMachine:
         if not programs:
             return []
 
+        distinct = list({id(program): program
+                         for program in programs}.values())
         if machine.hierarchy is not None:
-            # Cache modelling is core-private serial state: simulate
-            # each program on the serial pipeline (the hierarchy resets
-            # on every run, so each simulation is pure).
-            outcomes = [machine._deterministic(program, cores, supply)
-                        for program in programs]
+            # Cache modelling is core-private serial state; the
+            # hierarchy resets on every run, so each trace is pure.
+            traces = [machine.pipeline.execute(
+                program, max_cycles=machine.sim_cycles,
+                hierarchy=machine.hierarchy) for program in distinct]
         else:
             from .batch import simulate_population
             traces = simulate_population(
-                programs, machine.arch, max_cycles=machine.sim_cycles,
+                distinct, machine.arch, max_cycles=machine.sim_cycles,
                 detect_steady_state=machine.steady_state_detection)
-            energies = machine.power.energy_traces_pj(programs, traces)
-            powers, currents = zip(*(
-                machine._power(program, trace, energy, cores, supply)
-                for program, trace, energy
-                in zip(programs, traces, energies)))
-            voltages = machine.pdn.simulate_batch(
-                list(currents), supply,
-                periods=[t.period_cycles or None for t in traces],
-                prefixes=[t.prefix_cycles for t in traces])
-            critical = machine.critical_voltage_v()
-            outcomes = [
-                _Deterministic(program, trace, *figures, voltage,
-                               voltage.v_min < critical)
-                for program, trace, figures, voltage
-                in zip(programs, traces, powers, voltages)]
+        energies = machine.power.energy_traces_pj(distinct, traces)
+        outcomes = {
+            id(program): machine._outcome(program, trace, energy, cores,
+                                          supply)
+            for program, trace, energy in zip(distinct, traces, energies)}
 
         results: List[List[RunResult]] = []
-        for index, det in enumerate(outcomes):
+        for index, program in enumerate(programs):
             if noise_keys is not None:
                 machine.reseed(noise_keys[index])
+            det = outcomes[id(program)]
             results.append([
                 machine._draw(det, cores, supply, duration_s,
                               power_sample_count)

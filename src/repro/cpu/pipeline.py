@@ -210,6 +210,25 @@ class ExecutionTrace:
                 for width, cycles in enumerate(per_width) if cycles}
 
 
+#: Snapshot cadence of steady-state detection, shared by the serial
+#: and lockstep schedulers: the sampling interval (in fetch wraps)
+#: starts at 1 and grows by :data:`INTERVAL_GROWTH` after every
+#: :data:`SNAPSHOTS_PER_INTERVAL` snapshots.
+SNAPSHOTS_PER_INTERVAL = 16
+INTERVAL_GROWTH = 2
+
+
+def slot_timing(instr: DecodedInstruction,
+                arch: MicroArch) -> Tuple[str, str, int, int]:
+    """``(group, port group, latency, initiation interval)`` of one
+    loop instruction on ``arch`` — the static scheduling facts both
+    schedulers read per loop slot."""
+    group = instr.group or instr.iclass.value
+    return (group, arch.port_group_of(group, instr.iclass),
+            arch.latency_of(group, instr.iclass),
+            arch.initiation_interval(group, instr.iclass))
+
+
 class _StaticSlot:
     """Pre-resolved per-loop-slot scheduling facts."""
 
@@ -219,12 +238,9 @@ class _StaticSlot:
 
     def __init__(self, index: int, instr: DecodedInstruction,
                  arch: MicroArch) -> None:
-        group = instr.group or instr.iclass.value
         self.index = index
-        self.group = group
-        self.port = arch.port_group_of(group, instr.iclass)
-        self.latency = arch.latency_of(group, instr.iclass)
-        self.interval = arch.initiation_interval(group, instr.iclass)
+        self.group, self.port, self.latency, self.interval = \
+            slot_timing(instr, arch)
         self.reads = instr.reads
         self.writes = instr.writes
         self.is_memory = instr.iclass.is_memory
@@ -316,12 +332,13 @@ class PipelineSimulator:
         prefix = 0                # the last state snapshot
         period = 0
         # Snapshotting the scheduler state is not free (the window can
-        # hold tens of entries), so the sampling interval doubles every
-        # 16 snapshots: long pre-periodic transients cost amortised
-        # O(log) keys instead of one per loop iteration.  A recurrence
-        # between any two sampled states is a valid (possibly
-        # non-minimal) period, so thinning never breaks correctness —
-        # it only delays detection by at most one interval.
+        # hold tens of entries), so the sampling interval grows as the
+        # snapshot cadence says: long pre-periodic transients cost
+        # amortised O(log) keys instead of one per loop iteration.  A
+        # recurrence between any two sampled states is a valid
+        # (possibly non-minimal) period, so thinning never breaks
+        # correctness — it only delays detection by at most one
+        # interval.
         wrap_count = 0
         snapshot_interval = 1
         snapshots_at_interval = 0
@@ -343,9 +360,9 @@ class PipelineSimulator:
                         break
                     seen_states[key] = cycle
                     snapshots_at_interval += 1
-                    if snapshots_at_interval >= 16:
+                    if snapshots_at_interval >= SNAPSHOTS_PER_INTERVAL:
                         snapshots_at_interval = 0
-                        snapshot_interval *= 2
+                        snapshot_interval *= INTERVAL_GROWTH
 
             # ---- fetch: refill the window from the looping stream ------
             while len(window) < window_size:

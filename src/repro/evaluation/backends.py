@@ -152,8 +152,8 @@ class BatchedBackend(ExecutorBackend):
     so a source the screen assembled is a compile-cache hit), and all
     programs then execute as a single
     :class:`~repro.cpu.machine.BatchedMachine` pass
-    — pipeline lockstep simulation, ``(population, cycles)`` energy
-    accumulation and a vectorized PDN solve.  Per-individual noise
+    — pipeline lockstep simulation of each distinct program and
+    ``(population, cycles)`` energy accumulation.  Per-individual noise
     substreams are replayed afterwards in job order, and every
     per-individual step — screen verdict, failure results, scoring and
     the empty-measurement error — is the pipeline's own, so every

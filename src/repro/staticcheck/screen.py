@@ -36,7 +36,8 @@ from typing import Callable, List, Optional
 from ..core.errors import AssemblyError
 from ..isa.assembler import BaseAssembler
 from ..isa.model import Program
-from .costmodel import StaticCostReport, analyze_cost
+# Not called here: perfbench/trace_spans.py wraps ``screen.analyze_cost``.
+from .costmodel import analyze_cost  # noqa: F401
 from .dataflow import (DEFAULT_LINE_BYTES, StaticProfile, analyze_program)
 from .diagnostics import Diagnostic, Severity, make_diagnostic
 
@@ -53,17 +54,6 @@ class ScreenReport:
     assembly_failed: bool
     diagnostics: List[Diagnostic] = field(default_factory=list)
     profile: Optional[StaticProfile] = None
-    #: Steady-state kernel of the loop, when the screen was built with
-    #: a period probe and the program assembled: warm-up cycles before
-    #: the kernel and the kernel length in cycles.  None when probing
-    #: is off, assembly failed, or no recurrence was found.
-    detected_prefix: Optional[int] = None
-    detected_period: Optional[int] = None
-    #: Static cost report, when the screen runs in static-rank mode
-    #: (built with ``arch=...``) and the program assembled.  The
-    #: ``static_rank`` strategy reads ``cost.predicted_metric(...)``
-    #: to order candidates before simulation.
-    cost: Optional[StaticCostReport] = None
 
 
 @dataclass
@@ -93,45 +83,18 @@ class StaticScreen:
     l1_bytes / l2_bytes:
         Cache geometry for the footprint bound; None disables the
         corresponding check.
-    period_probe:
-        Optional object with a ``detect_period(program, max_cycles)``
-        method (duck-typed to
-        :meth:`repro.cpu.pipeline.PipelineSimulator.detect_period`).
-        When given, programs that pass the static checks are also
-        probed for their steady-state kernel — cheap, because the probe
-        stops at the first scheduler-state recurrence — and the result
-        is reported on :class:`ScreenReport` for analysis tooling.
-    probe_cycles:
-        Cycle budget handed to the probe (default 1600, the stock
-        ``sim_cycles``).
-    arch:
-        Optional :class:`~repro.cpu.microarch.MicroArch`.  When given,
-        the screen runs in *static-rank mode*: programs that assemble
-        also get the static cost model pass and the report lands on
-        :attr:`ScreenReport.cost` — the strategy-facing fitness proxy.
-    intent:
-        Fitness metric name forwarded to the cost model so SC302/SC303
-        can fire during screening (static-rank mode only).
     """
 
     def __init__(self, assembler: BaseAssembler,
                  fail_severity: Severity = Severity.ERROR,
                  l1_bytes: Optional[int] = None,
                  l2_bytes: Optional[int] = None,
-                 line_bytes: int = DEFAULT_LINE_BYTES,
-                 period_probe=None,
-                 probe_cycles: int = 1600,
-                 arch=None,
-                 intent: Optional[str] = None) -> None:
+                 line_bytes: int = DEFAULT_LINE_BYTES) -> None:
         self.assembler = assembler
         self.fail_severity = fail_severity
         self.l1_bytes = l1_bytes
         self.l2_bytes = l2_bytes
         self.line_bytes = line_bytes
-        self.period_probe = period_probe
-        self.probe_cycles = probe_cycles
-        self.arch = arch
-        self.intent = intent
         self.stats = ScreenStats()
 
     @classmethod
@@ -177,39 +140,16 @@ class StaticScreen:
             return ScreenReport(passed=False, assembly_failed=True,
                                 diagnostics=[diagnostic])
 
-        if self.arch is not None:
-            cost_report = analyze_cost(
-                program, self.arch, l1_bytes=self.l1_bytes,
-                l2_bytes=self.l2_bytes, line_bytes=self.line_bytes,
-                source_file=name, intent=self.intent)
-            diagnostics = cost_report.diagnostics
-            profile: StaticProfile = cost_report.cost
-            cost: Optional[StaticCostReport] = cost_report.cost
+        report = analyze_program(program, l1_bytes=self.l1_bytes,
+                                 l2_bytes=self.l2_bytes,
+                                 line_bytes=self.line_bytes,
+                                 source_file=name)
+        passed = all(d.severity < self.fail_severity
+                     for d in report.diagnostics)
+        if passed:
+            self.stats.passed += 1
         else:
-            report = analyze_program(program, l1_bytes=self.l1_bytes,
-                                     l2_bytes=self.l2_bytes,
-                                     line_bytes=self.line_bytes,
-                                     source_file=name)
-            diagnostics = report.diagnostics
-            profile = report.profile
-            cost = None
-        failing = [d for d in diagnostics
-                   if d.severity >= self.fail_severity]
-        if failing:
             self.stats.dataflow_failures += 1
-            return ScreenReport(passed=False, assembly_failed=False,
-                                diagnostics=diagnostics,
-                                profile=profile, cost=cost)
-        self.stats.passed += 1
-        prefix = period = None
-        if self.period_probe is not None:
-            kernel = self.period_probe.detect_period(
-                program, max_cycles=self.probe_cycles)
-            if kernel is not None:
-                prefix, period = kernel
-        return ScreenReport(passed=True, assembly_failed=False,
-                            diagnostics=diagnostics,
-                            profile=profile,
-                            detected_prefix=prefix,
-                            detected_period=period,
-                            cost=cost)
+        return ScreenReport(passed=passed, assembly_failed=False,
+                            diagnostics=report.diagnostics,
+                            profile=report.profile)

@@ -106,7 +106,7 @@ CREATE TABLE IF NOT EXISTS cache_entries (
     compile_failed INTEGER NOT NULL DEFAULT 0,
     screen_failed  INTEGER NOT NULL DEFAULT 0,
     created_by     TEXT,
-    hits           INTEGER NOT NULL DEFAULT 0,
+    hits           INTEGER NOT NULL DEFAULT 0,  -- legacy, never updated
     PRIMARY KEY (fingerprint, key)
 );
 CREATE TABLE IF NOT EXISTS cache_activity (

@@ -12,10 +12,12 @@ Concurrency is delegated to sqlite's file locking: a ``put`` is a
 single ``INSERT ... ON CONFLICT DO NOTHING`` — first writer wins, and
 because evaluations are pure functions of the key (the determinism
 contract of :mod:`repro.evaluation.pipeline`), racing writers carry
-identical values, so "lost" duplicate writes lose nothing.  Hits are
-accounted twice: per entry (``hits`` column) and per run
-(``cache_activity`` table, flushed on :meth:`close`), so operators can
-see exactly how much measurement each run saved.
+identical values, so "lost" duplicate writes lose nothing.  A ``get``
+is a single ``SELECT``: hits are counted per run in memory and flushed
+to the ``cache_activity`` table on :meth:`close`, so operators can see
+exactly how much measurement each run saved.  (The ``cache_entries``
+table keeps its legacy per-entry ``hits`` column so stores written by
+earlier versions still open; nothing updates or reads it.)
 
 The driver-side cache protocol (``get``/``put``/``hits``/``misses``)
 is inherited from :class:`EvaluationCache`, so a
@@ -100,11 +102,6 @@ class SharedEvaluationCache(EvaluationCache):
             self.misses += 1
             return None
         self.hits += 1
-        with conn:
-            conn.execute(
-                "UPDATE cache_entries SET hits = hits + 1 "
-                "WHERE fingerprint = ? AND key = ?",
-                (self.fingerprint, key))
         return CachedEvaluation(
             measurements=tuple(float(m) for m in json.loads(raw[0])),
             compile_failed=bool(raw[1]), screen_failed=bool(raw[2]))
@@ -128,10 +125,9 @@ class SharedEvaluationCache(EvaluationCache):
 
         The surrogate strategy's warm start snapshots the cache through
         this — with the per-``get`` protocol it would issue one SELECT
-        (plus a hit-count UPDATE) per offspring.  Rows stream from a
-        dedicated cursor, so interleaved ``get``/``put`` calls on the
-        connection are safe; hit accounting is untouched (a snapshot is
-        not a lookup).
+        per offspring.  Rows stream from a dedicated cursor, so
+        interleaved ``get``/``put`` calls on the connection are safe;
+        hit accounting is untouched (a snapshot is not a lookup).
         """
         cursor = self._connection().execute(
             "SELECT key, measurements, compile_failed, screen_failed "

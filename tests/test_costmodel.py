@@ -334,27 +334,10 @@ class TestCliAnalyze:
 
 
 # ---------------------------------------------------------------------------
-# screen: static-rank mode and configured cache geometry
+# screen: configured cache geometry
 # ---------------------------------------------------------------------------
 
 class TestScreenStaticRankMode:
-    def test_cost_attached_in_static_rank_mode(self):
-        screen = StaticScreen(ArmAssembler(),
-                              arch=microarch_for("cortex_a15"),
-                              intent="power")
-        report = screen.screen("mov x10, #0\n.loop\nadd x1, x2, x3\n"
-                               ".endloop\n")
-        assert report.passed
-        assert report.cost is not None
-        assert report.cost.arch == "cortex_a15"
-        assert "SC302" in codes_of(report.diagnostics)
-
-    def test_cost_absent_without_arch(self):
-        screen = StaticScreen(ArmAssembler())
-        report = screen.screen("mov x10, #0\n.loop\nadd x1, x2, x3\n"
-                               ".endloop\n")
-        assert report.passed and report.cost is None
-
     def test_for_machine_threads_configured_geometry(self):
         from repro.cpu.cache import CacheConfig, MemoryHierarchy
         hierarchy = MemoryHierarchy(

@@ -18,7 +18,6 @@ from repro.cpu.machine import SimulatedMachine
 from repro.cpu.pdn import PDNModel
 from repro.cpu.pipeline import PipelineSimulator
 from repro.cpu.power import PowerModel
-from repro.staticcheck.screen import StaticScreen
 
 ARM_LOOP = """
 1:
@@ -249,24 +248,6 @@ class TestDetectPeriodHelper:
         trace = machine.pipeline.execute(program, 1600)
         assert (prefix, period) == (trace.prefix_cycles,
                                     trace.period_cycles)
-
-    def test_screen_reports_period_with_probe(self):
-        machine = SimulatedMachine("cortex_a15", seed=0)
-        screen = StaticScreen(machine.assembler,
-                              period_probe=machine.pipeline)
-        report = screen.screen(ARM_LOOP)
-        assert report.passed
-        assert report.detected_period is not None
-        assert report.detected_period > 0
-        assert report.detected_prefix is not None
-
-    def test_screen_without_probe_reports_none(self):
-        machine = SimulatedMachine("cortex_a15", seed=0)
-        screen = StaticScreen(machine.assembler)
-        report = screen.screen(ARM_LOOP)
-        assert report.passed
-        assert report.detected_period is None
-        assert report.detected_prefix is None
 
 
 class TestCompileCache:

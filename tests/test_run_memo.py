@@ -23,8 +23,9 @@ from repro.core.engine import GeneticEngine
 from repro.core.events import RunRecorder
 from repro.core.individual import random_individual
 from repro.core.template import Template
+from repro.cpu import batch
 from repro.cpu.cache import MemoryHierarchy
-from repro.cpu.machine import SimulatedMachine
+from repro.cpu.machine import BatchedMachine, SimulatedMachine
 from repro.cpu.pipeline import PipelineSimulator
 from repro.cpu.target import SimulatedTarget
 from repro.evaluation.backends import BatchedBackend, SerialBackend
@@ -75,41 +76,77 @@ def _assert_runs_equal(left, right):
                               getattr(right.trace, name))
 
 
-_STEP = st.tuples(
-    st.sampled_from(LIBRARY),                 # library program
+_NOISE_KEY = st.integers(min_value=0, max_value=2 ** 32)
+_RUN_ARGUMENTS = (
     st.integers(min_value=1, max_value=2),    # cores
     st.sampled_from((None, 0.95, 1.05)),      # supply, x nominal
     st.sampled_from((0.5, 1.0, 5.0)),         # duration_s
     st.integers(min_value=1, max_value=4),    # power_sample_count
-    st.integers(min_value=0, max_value=2 ** 32),  # noise key
 )
+#: ``run(program)`` after ``reseed(key)``.
+_RUN_STEP = st.tuples(st.just("run"), *_RUN_ARGUMENTS,
+                      st.sampled_from(LIBRARY), _NOISE_KEY)
+#: ``run_batch`` over rows of (library program, noise key): a program
+#: drawn twice is the same Program object, so rows repeat.
+_BATCH_STEP = st.tuples(
+    st.just("batch"), *_RUN_ARGUMENTS,
+    st.lists(st.tuples(st.sampled_from(LIBRARY), _NOISE_KEY),
+             min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=3))    # repeats
 
 
 class TestRunMemo:
     @settings(max_examples=25, deadline=None)
-    @given(steps=st.lists(_STEP, min_size=1, max_size=8),
-           cap=st.integers(min_value=1, max_value=4))
-    def test_memoised_run_equals_fresh_run(self, steps, cap):
+    @given(steps=st.lists(st.one_of(_RUN_STEP, _BATCH_STEP),
+                          min_size=1, max_size=8),
+           cap=st.integers(min_value=1, max_value=4),
+           hierarchy=st.booleans())
+    def test_memoised_run_equals_fresh_run(self, steps, cap, hierarchy):
         """Interleaved programs, repeated keys and LRU eviction (a cap
         of 1..4 entries over up to 10 distinct keys) never change an
-        observable: each memoised run equals a fresh machine's."""
-        memo_machine = _machine()
+        observable: each memoised run, and each row of a batch (rows
+        sharing a Program are simulated once), equals a fresh
+        machine's reseed plus ``run``."""
+        def build():
+            return _machine(hierarchy=MemoryHierarchy() if hierarchy
+                            else None)
+
+        memo_machine = build()
         memo_machine.RUN_MEMO_CAP = cap
         programs = {name: memo_machine.compile(workload(name).source,
                                                name=f"{name}.s")
                     for name in LIBRARY}
         nominal = memo_machine.arch.vdd_nominal
-        for name, cores, supply, duration, samples, key in steps:
+
+        def fresh_runs(name, key, repeats, kwargs):
+            fresh_machine = build()
+            fresh_machine.reseed(key)
+            return [fresh_machine.run(programs[name], **kwargs)
+                    for _ in range(repeats)]
+
+        for kind, cores, supply, duration, samples, *step in steps:
             kwargs = dict(duration_s=duration, cores=cores,
                           power_sample_count=samples,
                           supply_v=None if supply is None
                           else supply * nominal)
-            memo_machine.reseed(key)
-            memoised = memo_machine.run(programs[name], **kwargs)
-            fresh_machine = _machine()
-            fresh_machine.reseed(key)
-            fresh = fresh_machine.run(programs[name], **kwargs)
-            _assert_runs_equal(memoised, fresh)
+            if kind == "run":
+                name, key = step
+                memo_machine.reseed(key)
+                memoised = memo_machine.run(programs[name], **kwargs)
+                [fresh] = fresh_runs(name, key, 1, kwargs)
+                _assert_runs_equal(memoised, fresh)
+            else:
+                rows, repeats = step
+                batched = BatchedMachine(memo_machine).run_batch(
+                    [programs[name] for name, _ in rows],
+                    noise_keys=[key for _, key in rows], repeats=repeats,
+                    **kwargs)
+                assert len(batched) == len(rows)
+                for (name, key), rounds in zip(rows, batched):
+                    expected = fresh_runs(name, key, repeats, kwargs)
+                    assert len(rounds) == repeats
+                    for left, right in zip(rounds, expected):
+                        _assert_runs_equal(left, right)
             assert len(memo_machine._run_memo) <= cap
 
     def test_repeated_runs_simulate_once(self, monkeypatch):
@@ -223,7 +260,18 @@ class TestSharedCompilePath:
         calls = _count_executes(monkeypatch)
         serial = SerialBackend().evaluate(serial_pipeline, serial_jobs)
         assert sum(calls.values()) == distinct
+        lockstep_rows = []
+        simulate_population = batch.simulate_population
+
+        def counting(programs, *args, **kwargs):
+            lockstep_rows.append(len(programs))
+            return simulate_population(programs, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "simulate_population", counting)
         batched = BatchedBackend().evaluate(batched_pipeline, batched_jobs)
+        # Re-rendered elites compile to the cached Program, and the
+        # batch simulates each distinct Program once.
+        assert lockstep_rows == [distinct]
         assert len(serial) == len(batched) == 8
         for left, right in zip(serial, batched):
             assert left.uid == right.uid

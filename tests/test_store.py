@@ -272,6 +272,17 @@ class TestSharedEvaluationCache:
         assert cache.misses == 1
         cache.close()
 
+    def test_hit_writes_nothing(self, tmp_path):
+        cache = SharedEvaluationCache(tmp_path / "s.sqlite", "fp",
+                                      run_id="run-000001")
+        cache.put("src", CachedEvaluation((1.0,)))
+        conn = cache._connection()
+        before = conn.total_changes
+        assert cache.get("src") == CachedEvaluation((1.0,))
+        assert cache.hits == 1
+        assert conn.total_changes == before
+        cache.close()
+
     def test_fingerprint_isolation(self, tmp_path):
         path = tmp_path / "s.sqlite"
         a = SharedEvaluationCache(path, "fp-a")
