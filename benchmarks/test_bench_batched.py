@@ -5,15 +5,17 @@ wall-clock for the serial loop, :class:`BatchedBackend`, and a
 4-worker :class:`ProcessPoolBackend` dispatching batched sub-batches,
 across three regimes of one 64-individual generation:
 
-* steady-state detection on, single measurement (the cheapest serial
-  case — batched wins only on assembly splicing and array execution);
+* steady-state detection on, single measurement (the shipped
+  configs' regime);
 * detection off (full cycle-by-cycle simulation), single measurement;
 * detection off with ``repeats=3`` noise-averaged measurements — the
   paper's repeated-measurement methodology.  Both paths simulate each
   program once and replay only the noise draws per repeat (the serial
-  loop through the machine's run memo), so batched wins here by
-  vectorizing the simulation across the population, as in the
-  single-measurement regimes, and its lead grows with the population.
+  loop through the machine's run memo).
+
+Serial and batched run the same scheduler once per distinct program,
+so batched differs from serial only in how compiles and noise rows are
+grouped; its speedup is recorded, not gated.  The pool's is gated.
 
 Every non-serial backend must reproduce the serial results bit for bit
 in every round — the speedup is only meaningful if the trajectory is
@@ -47,17 +49,18 @@ OUTPUT = REPO_ROOT / "BENCH_batched.json"
 
 #: CI's bench-smoke leg runs at a reduced scale via the environment;
 #: the committed BENCH_batched.json is produced at the default 64.
-#: The vectorization win amortizes per-generation fixed costs over the
-#: population, so the speedup floors relax below 64 individuals.
-#: Floors sit about a fifth under the lowest speedups measured on a
-#: 2-core container: batched 1.89x and pool_4 1.54x over 7 runs at 64,
-#: 1.32x and 0.78x over 12 runs at 32 (medians 1.63x and 1.09x).  At
-#: 32 individuals each of the 4 workers gets an 8-job slice and, on 2
-#: cores, the pool only breaks even with serial, so that floor bounds
-#: the dispatch overhead rather than claiming a win; the auto-selector
-#: does not pick the pool at that scale.
+#: Pool dispatch amortizes per-generation fixed costs over the
+#: population, so its floor relaxes below 64 individuals.  The floors
+#: sit about a fifth under the lowest pool_4 speedups measured on a
+#: 2-core container: 1.54x over 7 runs at 64 and 0.78x over 12 runs at
+#: 32 (median 1.09x), when the workers ran a vectorized scheduler.
+#: With the one serial scheduler pool_4 read 1.03-2.06x at 64 over 12
+#: runs (one below the floor, 11 at 1.63x or more) and 0.69-2.01x at 32
+#: over 3.  At 32 individuals each of the 4 workers gets an 8-job slice
+#: and, on 2 cores, the pool only breaks even with serial, so that
+#: floor bounds the dispatch overhead rather than claiming a win; the
+#: auto-selector does not pick the pool at that scale.
 POPULATION = int(os.environ.get("GEST_BENCH_POPULATION", "64"))
-BATCHED_FLOOR = 1.5 if POPULATION >= 64 else 1.1
 POOL_FLOOR = 1.2 if POPULATION >= 64 else 0.6
 ROUND_SEEDS = (101, 202, 303)
 
@@ -163,9 +166,6 @@ def test_bench_batched(benchmark):
 
     batched_speedup = headline["batched"]["speedup_vs_serial"]
     pool_speedup = headline["pool_4"]["speedup_vs_serial"]
-    assert batched_speedup >= BATCHED_FLOOR, (
-        f"batched must beat serial by {BATCHED_FLOOR}x in the "
-        f"repeated-measurement regime, got {batched_speedup}x: {headline}")
     assert pool_speedup >= POOL_FLOOR, (
         f"pool_4 (batched sub-batches) must reach {POOL_FLOOR}x serial "
         f"in the repeated-measurement regime, got {pool_speedup}x: "

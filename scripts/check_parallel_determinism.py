@@ -7,7 +7,7 @@ evaluation cache, and SerialBackend with steady-state kernel detection
 disabled (full cycle-by-cycle simulation) — and verifies they all
 produce identical run histories and bit-identical population binaries.
 ``--backend batched`` (or ``auto``) swaps the non-reference variants'
-executor for the population-vectorized path, checking the batched
+executor for the population-batched path, checking the batched
 render→measure→score pass against the serial loop end-to-end;
 ``--backend pool`` runs every non-reference variant, cached and
 untiled included, on ProcessPoolBackend(2).
@@ -79,7 +79,7 @@ def main() -> int:
                         choices=("serial", "batched", "auto", "pool"),
                         help="executor for the non-reference variants "
                              "(default: serial); 'batched' checks the "
-                             "population-vectorized pass against the "
+                             "population-batched pass against the "
                              "serial reference, 'pool' runs them all on "
                              "two worker processes")
     args = parser.parse_args()

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluation execution engine (default: the "
                           "config's <evaluation backend=...>, or auto); "
                           "'batched' evaluates a whole generation as "
-                          "one vectorized pass, 'auto' routes each "
+                          "one in-process batch, 'auto' routes each "
                           "generation to the cheapest engine")
     run.add_argument("--strategy", default=None,
                      choices=STRATEGIES.names(),

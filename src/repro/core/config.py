@@ -126,9 +126,9 @@ class EvaluationParameters:
     worker processes available (the paper measures on multiple boards
     the same way); 0 means *auto* — size from the machine.  ``backend``
     picks the execution engine: ``auto`` (default — route each
-    generation to the cheapest engine), ``serial``, ``batched`` (the
-    population-vectorized path), or ``pool``.  ``cache`` enables the
-    content-addressed :class:`~repro.evaluation.cache.EvaluationCache`.
+    generation to the cheapest engine), ``serial``, ``batched`` (one
+    in-process batch per generation), or ``pool``.  ``cache`` enables
+    the content-addressed :class:`~repro.evaluation.cache.EvaluationCache`.
     Whatever the combination, the run's populations and history are
     bit-identical — the evaluation layer's determinism contract.
     """

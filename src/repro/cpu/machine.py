@@ -501,29 +501,23 @@ class BatchedMachine:
     """Population-batched execution path over a :class:`SimulatedMachine`.
 
     :meth:`run_batch` evaluates a whole generation's programs in one
-    pass: the pipeline model runs as a lockstep array simulation
-    (:func:`repro.cpu.batch.simulate_population`) and the power model's
-    energy accumulation stacks into ``(population, cycles)`` arrays.
-    Only the scheduler differs from :meth:`SimulatedMachine.run`: both
-    paths share the argument checks, the energy entry point
-    (:meth:`PowerModel.energy_traces_pj`), the noise-free outcome
+    call.  It differs from :meth:`SimulatedMachine.run` only in how rows
+    are grouped: rows that share a Program object are simulated once,
+    by the machine's one scheduler (``machine.pipeline``), and the
+    power model's energy accumulation stacks every distinct trace in
+    one :meth:`PowerModel.energy_traces_pj` call.  Both paths share the
+    argument checks, the noise-free outcome
     (``SimulatedMachine._outcome``: power, PDN response, crash verdict)
     and the noise draws (``SimulatedMachine._draw``), so every
-    observable is bit-identical per individual.
+    observable is bit-identical per individual, with or without a
+    :class:`~repro.cpu.cache.MemoryHierarchy` attached.
 
-    Rows that share a Program object are simulated once.  Measurement
-    noise is replayed per row: the caller passes one noise key per
-    program (the evaluation layer's per-source substream key) and the
-    batch reseeds before drawing each row's noise.  Because the
+    Measurement noise is replayed per row: the caller passes one noise
+    key per program (the evaluation layer's per-source substream key)
+    and the batch reseeds before drawing each row's noise.  Because the
     simulation is deterministic, repeated measurements (``repeats >
     1``) replay only the noise draws instead of re-running the
     simulator.
-
-    Machines with a :class:`~repro.cpu.cache.MemoryHierarchy` attached
-    take their traces from the serial pipeline instead (the lockstep
-    scheduler models core-private execution only), once per distinct
-    program however many repeats; the results are the same, just
-    without the lockstep speedup.
     """
 
     def __init__(self, machine: SimulatedMachine) -> None:
@@ -550,17 +544,14 @@ class BatchedMachine:
 
         distinct = list({id(program): program
                          for program in programs}.values())
-        if machine.hierarchy is not None:
-            # Cache modelling is core-private serial state; the
-            # hierarchy resets on every run, so each trace is pure.
-            traces = [machine.pipeline.execute(
-                program, max_cycles=machine.sim_cycles,
-                hierarchy=machine.hierarchy) for program in distinct]
-        else:
-            from .batch import simulate_population
-            traces = simulate_population(
-                distinct, machine.arch, max_cycles=machine.sim_cycles,
-                detect_steady_state=machine.steady_state_detection)
+        # One scheduler call per distinct Program.  The batch bypasses
+        # the run memo: probe batches rarely repeat a Program, so
+        # filling it would only hold memory.  An attached hierarchy
+        # resets on every run, so each trace is pure.
+        traces = [machine.pipeline.execute(program,
+                                           max_cycles=machine.sim_cycles,
+                                           hierarchy=machine.hierarchy)
+                  for program in distinct]
         energies = machine.power.energy_traces_pj(distinct, traces)
         outcomes = {
             id(program): machine._outcome(program, trace, energy, cores,

@@ -210,23 +210,11 @@ class ExecutionTrace:
                 for width, cycles in enumerate(per_width) if cycles}
 
 
-#: Snapshot cadence of steady-state detection, shared by the serial
-#: and lockstep schedulers: the sampling interval (in fetch wraps)
-#: starts at 1 and grows by :data:`INTERVAL_GROWTH` after every
-#: :data:`SNAPSHOTS_PER_INTERVAL` snapshots.
+#: Snapshot cadence of steady-state detection: the sampling interval
+#: (in fetch wraps) starts at 1 and grows by :data:`INTERVAL_GROWTH`
+#: after every :data:`SNAPSHOTS_PER_INTERVAL` snapshots.
 SNAPSHOTS_PER_INTERVAL = 16
 INTERVAL_GROWTH = 2
-
-
-def slot_timing(instr: DecodedInstruction,
-                arch: MicroArch) -> Tuple[str, str, int, int]:
-    """``(group, port group, latency, initiation interval)`` of one
-    loop instruction on ``arch`` — the static scheduling facts both
-    schedulers read per loop slot."""
-    group = instr.group or instr.iclass.value
-    return (group, arch.port_group_of(group, instr.iclass),
-            arch.latency_of(group, instr.iclass),
-            arch.initiation_interval(group, instr.iclass))
 
 
 class _StaticSlot:
@@ -238,9 +226,12 @@ class _StaticSlot:
 
     def __init__(self, index: int, instr: DecodedInstruction,
                  arch: MicroArch) -> None:
+        group = instr.group or instr.iclass.value
         self.index = index
-        self.group, self.port, self.latency, self.interval = \
-            slot_timing(instr, arch)
+        self.group = group
+        self.port = arch.port_group_of(group, instr.iclass)
+        self.latency = arch.latency_of(group, instr.iclass)
+        self.interval = arch.initiation_interval(group, instr.iclass)
         self.reads = instr.reads
         self.writes = instr.writes
         self.is_memory = instr.iclass.is_memory

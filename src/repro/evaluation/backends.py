@@ -14,8 +14,8 @@ checkpoints, populations and run histories.
   (screen counters, call counters in test doubles) exactly as the old
   monolithic engine loop did.
 
-* :class:`BatchedBackend` — runs the generation as one vectorized
-  :class:`~repro.cpu.machine.BatchedMachine` pass, falling back to the
+* :class:`BatchedBackend` — runs the generation as one in-process
+  :class:`~repro.cpu.machine.BatchedMachine` batch, falling back to the
   serial loop when the pipeline cannot batch.
 
 * :class:`ProcessPoolBackend` — sends one contiguous slice of the
@@ -143,7 +143,7 @@ def supports_batching(pipeline: EvaluationPipeline) -> bool:
 
 
 class BatchedBackend(ExecutorBackend):
-    """Evaluate a whole generation as one vectorized pass.
+    """Evaluate a whole generation as one in-process batch.
 
     The render→measure→score path is re-staged population-wide:
     screening stays per-individual (in job order, against the live
@@ -151,13 +151,13 @@ class BatchedBackend(ExecutorBackend):
     pipeline's shared compile path (:meth:`EvaluationPipeline.compile`,
     so a source the screen assembled is a compile-cache hit), and all
     programs then execute as a single
-    :class:`~repro.cpu.machine.BatchedMachine` pass
-    — pipeline lockstep simulation of each distinct program and
-    ``(population, cycles)`` energy accumulation.  Per-individual noise
-    substreams are replayed afterwards in job order, and every
-    per-individual step — screen verdict, failure results, scoring and
-    the empty-measurement error — is the pipeline's own, so every
-    observable is bit-identical to :class:`SerialBackend`.
+    :class:`~repro.cpu.machine.BatchedMachine` batch — one scheduler
+    call per distinct program and one stacked energy pass.
+    Per-individual noise substreams are replayed afterwards in job
+    order, and every per-individual step — screen verdict, failure
+    results, scoring and the empty-measurement error — is the
+    pipeline's own, so every observable is bit-identical to
+    :class:`SerialBackend`.
 
     Pipelines that cannot batch (custom measurements without
     ``measure_from_result``, non-simulated targets) silently take the
@@ -254,12 +254,11 @@ def _init_worker(pipeline: EvaluationPipeline) -> None:
 def _run_chunk(chunk: Sequence[Job]) -> List[ResultOrError]:
     """Evaluate one worker's contiguous slice of the generation.
 
-    A :class:`BatchedBackend` runs the slice through the vectorized
-    path against the worker's forked pipeline replica (or the serial
-    loop when the pipeline cannot batch) — the pool's parallelism
-    composes with the batch speedup instead of competing with it.  One
-    pickled round trip carries the whole slice out and its results
-    back.
+    A :class:`BatchedBackend` runs the slice as one batch against the
+    worker's forked pipeline replica (or the serial loop when the
+    pipeline cannot batch), so each distinct program in the slice is
+    compiled and simulated once.  One pickled round trip carries the
+    whole slice out and its results back.
     """
     return BatchedBackend().evaluate(_WORKER_PIPELINE, chunk)
 
@@ -342,21 +341,18 @@ class ProcessPoolBackend(ExecutorBackend):
 
 
 #: Measured crossover points (dev container, cortex_a15 preset,
-#: sim_cycles=600, bare_metal).  Below ``_BATCH_MIN_JOBS`` misses the
-#: lockstep batch's setup overhead loses to the plain serial loop;
-#: forking/IPC only amortises once a generation carries at least
+#: sim_cycles=600, bare_metal).  Below ``_BATCH_MIN_JOBS`` misses a
+#: generation stays on the plain serial loop; forking/IPC only
+#: amortises once a generation carries at least
 #: ``_POOL_MIN_CYCLE_WORK`` job·cycles of simulation *and* every worker
 #: still receives a batch-worthy slice.
 #:
-#: ``_BATCH_MIN_JOBS`` was measured while the serial loop re-simulated
-#: every repeat.  With the run memo the serial loop simulates each
-#: program once, and on the shipped configs (detection on, 2-core
-#: container) batched trails it up to about 32 jobs: 0.67–0.88x serial
-#: at 8–20 jobs, repeats 1 or 3.  The pool choice weighs batched
-#: sub-batches against one batched pass, neither of which goes through
-#: the memo; at 32 and 48 jobs on two workers the pool was the fastest
-#: of the three (1.17–1.38x serial).  The batch crossover awaits
-#: re-calibration.
+#: ``_BATCH_MIN_JOBS`` was measured against a vectorized batch
+#: scheduler that no longer exists.  Batched and serial now run the
+#: same scheduler once per distinct program; they differ only in how
+#: compiles and noise rows are grouped, so the batch crossover marks
+#: no measured win and awaits re-calibration.  At 32 and 48 jobs on
+#: two workers the pool was the fastest choice (1.17–1.38x serial).
 _BATCH_MIN_JOBS = 8
 _POOL_MIN_CYCLE_WORK = 64 * 600
 
@@ -427,8 +423,10 @@ class AutoSelectBackend(ExecutorBackend):
             return self._ensure_pool()
         self.last_choice = "batched"
         self.last_reason = (
-            f"{n} jobs >= {_BATCH_MIN_JOBS}, single vectorized pass "
-            f"beats {self.pool_workers} worker(s) at {cycles} cycles")
+            f"{n} jobs >= {_BATCH_MIN_JOBS}, below the pool crossover "
+            f"for {self.pool_workers} worker(s) at {cycles} cycles; one "
+            f"in-process batch with a shared compile and one scheduler "
+            f"call per distinct program")
         return self._batched
 
     def _ensure_pool(self) -> ProcessPoolBackend:

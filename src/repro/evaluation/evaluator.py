@@ -92,8 +92,8 @@ class StagedEvaluator:
             else:
                 jobs.append((individual, source))
 
-        # The backend sees every miss together (the vectorized path
-        # needs the whole generation).
+        # The backend sees every miss together (the batched path
+        # groups the whole generation).
         for item in self.backend.evaluate(self.pipeline, jobs):
             if isinstance(item, EmptyMeasurementError):
                 outcome.error = item

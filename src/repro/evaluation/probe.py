@@ -6,7 +6,8 @@ does.  :class:`ShortProbe` runs a whole offspring pool for a small
 cycle budget (~1.6k cycles by default, a fraction of a full
 measurement's budget) through
 :meth:`~repro.cpu.machine.BatchedMachine.run_batch`, so the entire
-generation probes in one vectorized NumPy pass.
+generation probes in one batch: one scheduler call per distinct
+program and one stacked energy pass.
 
 Determinism: the probe machine is private (fixed seed, bare-metal
 environment) and every program's noise stream is keyed by its rendered

@@ -146,8 +146,8 @@ class Measurement(ABC):
 
         The batched evaluation backend
         (:class:`repro.evaluation.backends.BatchedBackend`) executes a
-        whole generation's programs in one vectorized pass and then
-        asks each measurement to interpret its individual's
+        whole generation's programs in one batch and then asks each
+        measurement to interpret its individual's
         :class:`~repro.cpu.machine.RunResult`.  Stock procedures
         implement this and define :meth:`measure` as
         ``measure_from_result(execute_on_target(source), individual)``;

@@ -65,9 +65,8 @@ class SurrogateFeaturizer:
                         ) -> List[Tuple[str, Optional[Dict[str, float]]]]:
         """``(rendered source, feature row or None)`` per individual.
 
-        The probe (when enabled) runs once for the whole batch — the
-        vectorized path is what makes probing a generation cheaper than
-        simulating one candidate.
+        The probe (when enabled) runs once for the whole batch, at a
+        fraction of a full measurement's cycle budget.
         """
         sources: List[str] = []
         programs: List = []

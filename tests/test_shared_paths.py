@@ -111,13 +111,18 @@ def test_error_stop_point_identical_on_every_backend(config):
 # the shared run builder
 # ---------------------------------------------------------------------------
 
-def _hierarchy_machine():
-    return SimulatedMachine("cortex_a15", environment="os", seed=3,
-                            sim_cycles=400, hierarchy=MemoryHierarchy())
+def _hierarchy_machine(hierarchy):
+    return SimulatedMachine(
+        "cortex_a15", environment="os", seed=3, sim_cycles=400,
+        hierarchy=MemoryHierarchy() if hierarchy else None)
 
 
-def test_hierarchy_batch_simulates_once_per_program(config, monkeypatch):
-    reference = _hierarchy_machine()
+# ``run_batch`` runs the one scheduler once per distinct Program with
+# or without a hierarchy, so both cases pin the same call count.
+@pytest.mark.parametrize("hierarchy", [False, True])
+def test_hierarchy_batch_simulates_once_per_program(config, monkeypatch,
+                                                    hierarchy):
+    reference = _hierarchy_machine(hierarchy)
     programs = _programs(reference, config, 4)
     keys = [noise_key(5, program.name) for program in programs]
     serial = []
@@ -135,7 +140,7 @@ def test_hierarchy_batch_simulates_once_per_program(config, monkeypatch):
         return execute(simulator, program, *args, **kwargs)
 
     monkeypatch.setattr(PipelineSimulator, "execute", counting)
-    machine = _hierarchy_machine()
+    machine = _hierarchy_machine(hierarchy)
     batched = BatchedMachine(machine).run_batch(
         programs, duration_s=1.0, cores=2, power_sample_count=3,
         noise_keys=keys, repeats=3)
@@ -144,7 +149,7 @@ def test_hierarchy_batch_simulates_once_per_program(config, monkeypatch):
         assert len(rounds) == 3
         for left, right in zip(reference_rounds, rounds):
             _assert_runs_equal(left, right)
-            assert right.cache is not None
+            assert (right.cache is not None) == hierarchy
 
 
 @pytest.mark.parametrize("hierarchy", [False, True])
