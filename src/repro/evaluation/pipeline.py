@@ -13,8 +13,8 @@ Stages, mirroring what the engine's old monolithic loop interleaved:
 1. **render** — instantiate the template with the individual's loop body;
 2. **screen** — optional pre-measurement static screen
    (:class:`repro.staticcheck.screen.StaticScreen`); failures take the
-   zero-fitness path without touching the pipeline model.  Screen and
-   measurement share one compile path
+   zero-fitness path without touching the pipeline model.  Pruning
+   scorers, screen and measurement share one compile path
    (:meth:`EvaluationPipeline.compile`), so a source is assembled once;
 3. **measure** — ``measure_repeated`` on the measurement plug-in;
    :class:`~repro.core.errors.AssemblyError` becomes a zero-fitness
@@ -252,12 +252,12 @@ class EvaluationPipeline:
         self._reseed = getattr(measurement, "reseed_noise", None)
         if self._reseed is not None and not callable(self._reseed):
             self._reseed = None
-        # Duck-typed handle to the simulated machine, for compile-cache
-        # accounting; None for measurements without a simulated target.
+        #: Duck-typed handle to the simulated machine the pipeline
+        #: compiles on; None for measurements without a simulated target.
         target = getattr(measurement, "target", None)
-        self._machine = getattr(target, "machine", None)
-        if not hasattr(self._machine, "compile_cache_hits"):
-            self._machine = None
+        self.machine = getattr(target, "machine", None)
+        if not hasattr(self.machine, "compile_cache_hits"):
+            self.machine = None
         #: The run's one template splicer: every Program the screen,
         #: the measurement and the batched backend need comes from the
         #: machine's compile cache, built through it.  None when the
@@ -265,10 +265,10 @@ class EvaluationPipeline:
         #: translates sources before assembling them.
         self.splicer: Optional[TemplateSplicer] = None
         self._source_name = getattr(measurement, "source_name", None)
-        if (getattr(self._machine, "assembler", None) is not None
+        if (getattr(self.machine, "assembler", None) is not None
                 and isinstance(self._source_name, str)
                 and getattr(target, "translator", None) is None):
-            self.splicer = TemplateSplicer(template, self._machine.assembler)
+            self.splicer = TemplateSplicer(template, self.machine.assembler)
             target.builder = self.splicer.compile
 
     # -- stages -------------------------------------------------------------
@@ -282,16 +282,16 @@ class EvaluationPipeline:
 
         Served from the machine's content-addressed compile cache under
         the measurement's ``source_name``, built through the run's
-        splicer on a miss — so screening a source and then measuring it
-        assembles it once.  Sources go through the target's translator
+        splicer on a miss — so a source priced, screened and measured is
+        assembled once.  Sources go through the target's translator
         first when it has one.  Requires a simulated machine.
         """
         target = self.measurement.target
         if target.translator is not None:
-            return self._machine.compile(target.translator(source),
-                                         name=self._source_name)
-        return self._machine.compile(source, name=self._source_name,
-                                     builder=self.splicer.compile)
+            return self.machine.compile(target.translator(source),
+                                        name=self._source_name)
+        return self.machine.compile(source, name=self._source_name,
+                                    builder=self.splicer.compile)
 
     def run_screen(self, source: str,
                    individual: Individual) -> ScreenReportProtocol:
@@ -299,10 +299,10 @@ class EvaluationPipeline:
 
         A screen whose ``screen`` accepts a ``compile`` keyword (as
         :class:`~repro.staticcheck.screen.StaticScreen` does) takes its
-        Program from :meth:`compile` when the pipeline has a splicer;
-        other screens compile for themselves.
+        Program from :meth:`compile` when the pipeline has a simulated
+        machine; other screens compile for themselves.
         """
-        if self.splicer is not None and _takes_compile(type(self.screen)):
+        if self.machine is not None and _takes_compile(type(self.screen)):
             return self.screen.screen(source, individual,
                                       compile=self.compile)
         return self.screen.screen(source, individual)
@@ -310,7 +310,7 @@ class EvaluationPipeline:
     def compile_counters(self) -> tuple:
         """The machine's compile-cache (hits, misses) so far; zeros
         without a simulated machine."""
-        machine = self._machine
+        machine = self.machine
         if machine is None:
             return 0, 0
         return machine.compile_cache_hits, machine.compile_cache_misses

@@ -28,6 +28,8 @@ strategy (default: the paper's GA) and interposes on its proposals:
 Generation 0 is always fully simulated: it anchors the search.  Two
 scorers plug in: the static cost model (:mod:`repro.search.static_rank`)
 and an online-learned ridge model (:mod:`repro.search.surrogate`).
+Both price the Program the run measures, built through the run's one
+compile path (:meth:`~repro.evaluation.pipeline.EvaluationPipeline.compile`).
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ import math
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import ConfigError
+from ..core.errors import AssemblyError, ConfigError
 from ..core.individual import Individual
 from ..core.population import Population
 from ..cpu.microarch import microarch_for
+from ..isa.model import Program
 from ..staticcheck.configlint import detect_syntax
 from ..staticcheck.costmodel import spearman
 from .base import STRATEGIES, SearchStrategy
@@ -141,7 +144,33 @@ class PruningStrategy(SearchStrategy):
         self._explored = 0
         self._warm_hits = 0
         self._last_metrics: Optional[Dict[str, Any]] = None
+        self._pipeline = None  # the run's, set by warm_start
         self._bind_scorer()
+
+    def warm_start(self, evaluator) -> None:
+        """Take the evaluator's pipeline (the run's one compile path)
+        and forward to the base strategy's own ``warm_start``, if any.
+        """
+        pipeline = evaluator.pipeline
+        if pipeline.machine is None:
+            raise ConfigError(
+                f"search strategy {self.name!r} compiles candidates on "
+                "the run's machine and needs a measurement on a simulated "
+                "target", diagnostic_code="SC210")
+        self._pipeline = pipeline
+        base_warm_start = getattr(self._base, "warm_start", None)
+        if callable(base_warm_start):
+            base_warm_start(evaluator)
+
+    def _compiled(self, individual: Individual
+                  ) -> Tuple[str, Optional[Program]]:
+        """``(rendered source, Program or None if it does not
+        assemble)``, built through the run's compile path."""
+        source = self._pipeline.render(individual)
+        try:
+            return source, self._pipeline.compile(source)
+        except AssemblyError:
+            return source, None
 
     # -- scorer hooks -------------------------------------------------------
 

@@ -3,20 +3,17 @@
 The static cost model prices a candidate for less than one simulated
 measurement, which makes it a ready-made fitness proxy: ``static_rank``
 is the :class:`~repro.search.pruning.PruningStrategy` whose scorer is
-:func:`repro.staticcheck.costmodel.static_score` over the assembled
-candidate.  The score is a pure function of the genome, so it is
-memoised per genome and ranks from generation 1 on; the wrapper never
-explores (ε = 0).
+:func:`repro.staticcheck.costmodel.static_score` over the candidate's
+Program, built through the run's one compile path.  The score is a
+pure function of the genome, so it is memoised per genome and ranks
+from generation 1 on; the wrapper never explores (ε = 0).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import AssemblyError
 from ..core.individual import Individual
-from ..core.template import Template
-from ..isa import assembler_for
 from ..staticcheck.costmodel import INTENT_PORTS, static_score
 from .base import STRATEGIES
 from .pruning import PruningStrategy, checked, fraction, optional_text
@@ -58,8 +55,6 @@ class StaticRankStrategy(PruningStrategy):
     _PENDING_KEY = "pending_scores"
 
     def _bind_scorer(self) -> None:
-        self._assembler = assembler_for(self._arch.isa)
-        self._template = Template(self.config.template_text)
         self._metric = self.params["metric"]
         #: genome key -> static score; elitism clones and replayed
         #: genomes recur every generation, so none is priced twice.
@@ -72,14 +67,9 @@ class StaticRankStrategy(PruningStrategy):
         cached = self._score_memo.get(key)
         if cached is not None:
             return cached
-        source = self._template.instantiate(individual.render_body())
-        try:
-            program = self._assembler.assemble(
-                source, name=f"uid{individual.uid}.s")
-        except AssemblyError:
-            score = float("-inf")
-        else:
-            score = static_score(program, self._arch, self._metric)
+        program = self._compiled(individual)[1]
+        score = float("-inf") if program is None \
+            else static_score(program, self._arch, self._metric)
         self._score_memo[key] = score
         return score
 

@@ -86,8 +86,7 @@ class SurrogateStrategy(PruningStrategy):
 
     def _bind_scorer(self) -> None:
         self._featurizer = SurrogateFeaturizer(
-            self.config.template_text, self._arch,
-            probe_cycles=self.params["probe"])
+            self._arch, probe_cycles=self.params["probe"])
         self._model = RidgeModel(l2=self.params["l2"],
                                  boost_buckets=self.params["boost"])
         # Evaluation-cache snapshot (populated by warm_start):
@@ -108,14 +107,15 @@ class SurrogateStrategy(PruningStrategy):
         self._pending_features: Dict[int, Dict[str, float]] = {}
 
     def warm_start(self, evaluator) -> None:
-        """Snapshot the evaluator's cache for the warm-start path.
+        """Take the pipeline (see the core's ``warm_start``), then
+        snapshot the evaluator's cache for the warm-start path.
 
-        Called by the engine once the evaluator exists.  The snapshot
-        is one bulk ``iter_entries()`` read — never a per-genome
-        lookup — so a sqlite-backed
+        The snapshot is one bulk ``iter_entries()`` read — never a
+        per-genome lookup — so a sqlite-backed
         :class:`~repro.store.sharedcache.SharedEvaluationCache` costs
         one SELECT, not one per offspring.
         """
+        super().warm_start(evaluator)
         cache = getattr(evaluator, "cache", None)
         self._cache = cache
         self._warm_entries = {}
@@ -128,10 +128,11 @@ class SurrogateStrategy(PruningStrategy):
     def _predict(self, individuals: List[Individual]) -> Dict[int, float]:
         fresh = [i for i in individuals
                  if i.genome_key() not in self._feature_memo]
-        self._sources = {}
-        for individual, (source, row) in zip(
-                fresh, self._featurizer.featurize_batch(fresh)):
-            self._sources[individual.uid] = source
+        compiled = [self._compiled(i) for i in fresh]
+        self._sources = {individual.uid: source for individual, (source, _)
+                         in zip(fresh, compiled)}
+        for individual, row in zip(
+                fresh, self._featurizer.featurize_batch(compiled)):
             if row is not None:
                 self._feature_memo[individual.genome_key()] = row
         rows = {i.uid: self._feature_memo.get(i.genome_key())

@@ -1,8 +1,9 @@
 """Candidate featurization for the surrogate fitness model.
 
-Turns an :class:`~repro.core.individual.Individual` into the flat
-``name → float`` row the :class:`~repro.surrogate.model.RidgeModel`
-trains on.  Everything is reused machinery:
+Turns a candidate's Program — from the run's one compile path, so the
+whole measured loop, prologue included — into the flat ``name → float``
+row the :class:`~repro.surrogate.model.RidgeModel` trains on.
+Everything is reused machinery:
 
 * the static side is :func:`repro.staticcheck.costmodel.analyze_cost`'s
   :meth:`~repro.staticcheck.costmodel.StaticCostReport.as_features` —
@@ -13,34 +14,28 @@ trains on.  Everything is reused machinery:
   batched simulation contributing ``probe_*`` observables at a small
   fraction of a full measurement's cycle budget.
 
-Unassemblable genomes featurize to ``None``: they would compile-fail
-to zero fitness anyway, so the surrogate ranks them last without
-spending a probe on them.
+Unassemblable genomes (no Program) featurize to ``None``: they would
+compile-fail to zero fitness anyway, so the surrogate ranks them last
+without spending a probe on them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import AssemblyError
-from ..core.individual import Individual
-from ..core.template import Template
 from ..cpu.microarch import MicroArch
 from ..evaluation.probe import ShortProbe
-from ..isa import assembler_for
+from ..isa.model import Program
 from ..staticcheck.costmodel import analyze_cost
 
 __all__ = ["SurrogateFeaturizer"]
 
 
 class SurrogateFeaturizer:
-    """Renders, assembles and prices candidates into feature rows.
+    """Prices compiled candidates into feature rows.
 
     Parameters
     ----------
-    template_text:
-        The run's template (the candidate body is spliced into it, so
-        features describe the *whole* measured loop, prologue included).
     arch:
         Microarchitecture whose latency/port/energy tables price the
         static features (and whose preset the probe machine runs).
@@ -49,11 +44,8 @@ class SurrogateFeaturizer:
         cycle budget (see :class:`~repro.evaluation.probe.ShortProbe`).
     """
 
-    def __init__(self, template_text: str, arch: MicroArch,
-                 probe_cycles: int = 0) -> None:
+    def __init__(self, arch: MicroArch, probe_cycles: int = 0) -> None:
         self.arch = arch
-        self._template = Template(template_text)
-        self._assembler = assembler_for(arch.isa)
         self._probe = ShortProbe(arch.name, cycles=probe_cycles) \
             if probe_cycles else None
 
@@ -61,36 +53,24 @@ class SurrogateFeaturizer:
     def probes(self) -> bool:
         return self._probe is not None
 
-    def featurize_batch(self, individuals: Sequence[Individual]
-                        ) -> List[Tuple[str, Optional[Dict[str, float]]]]:
-        """``(rendered source, feature row or None)`` per individual.
+    def featurize_batch(self, compiled: Sequence[Tuple[str, Optional[Program]]]
+                        ) -> List[Optional[Dict[str, float]]]:
+        """One feature row (None without a Program) per
+        ``(rendered source, Program or None)`` pair.
 
         The probe (when enabled) runs once for the whole batch, at a
-        fraction of a full measurement's cycle budget.
+        fraction of a full measurement's cycle budget; the rendered
+        sources key its noise substreams.
         """
-        sources: List[str] = []
-        programs: List = []
-        rows: List[Optional[Dict[str, float]]] = []
-        for individual in individuals:
-            source = self._template.instantiate(individual.render_body())
-            sources.append(source)
-            try:
-                program = self._assembler.assemble(
-                    source, name=f"uid{individual.uid}.s")
-            except AssemblyError:
-                programs.append(None)
-                rows.append(None)
-                continue
-            programs.append(program)
-            rows.append(analyze_cost(program, self.arch)
-                        .cost.as_features())
-
+        rows = [None if program is None
+                else analyze_cost(program, self.arch).cost.as_features()
+                for _, program in compiled]
         if self._probe is not None:
-            assembled = [(i, program) for i, program in enumerate(programs)
-                         if program is not None]
+            assembled = [(row, pair) for row, pair in zip(rows, compiled)
+                         if row is not None]
             probed = self._probe.probe_batch(
-                [program for _, program in assembled],
-                [sources[i] for i, _ in assembled])
-            for (index, _), extra in zip(assembled, probed):
-                rows[index].update(extra)
-        return list(zip(sources, rows))
+                [program for _, (_, program) in assembled],
+                [source for _, (source, _) in assembled])
+            for (row, _), extra in zip(assembled, probed):
+                row.update(extra)
+        return rows

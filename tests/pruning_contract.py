@@ -74,6 +74,23 @@ class PruningWrapperContract:
     def test_platform_inferred_from_template_syntax(self, tiny_config):
         assert self._bound(tiny_config)._arch.name == "cortex_a15"
 
+    def test_rejects_measurement_without_simulated_target(
+            self, tiny_library, tiny_template):
+        class LdrCounter:
+            def measure(self, source_text, individual):
+                return [float(sum(1 for i in individual.instructions
+                                  if i.name == "LDR"))]
+
+            def measure_repeated(self, source_text, individual):
+                return self.measure(source_text, individual)
+
+        config = strategy_config(self.STRATEGY, tiny_library,
+                                 tiny_template)
+        # The scorer compiles on the run's simulated machine; without
+        # one the engine refuses before anything is evaluated.
+        with pytest.raises(ConfigError, match="simulated target"):
+            GeneticEngine(config, LdrCounter(), DefaultFitness())
+
     def test_placeholders_never_win(self, tiny_library, tiny_template):
         engine, history = self._run(tiny_library, tiny_template,
                                     generations=5,

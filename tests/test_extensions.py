@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (GAParameters, GeneticEngine, RunConfig,
                         random_individual)
+from repro.core.config import SearchParameters
 from repro.core.errors import AssemblyError, ConfigError, MeasurementError
 from repro.core.rng import make_rng
 from repro.cpu import MemoryHierarchy, SimulatedMachine, SimulatedTarget
@@ -16,6 +17,7 @@ from repro.isa import (arm_cache_stress_library, arm_library,
                        arm_shared_template, arm_template, clike_library,
                        clike_template, compile_clike)
 from repro.measurement import CacheMissMeasurement, PowerMeasurement
+from repro.staticcheck.screen import StaticScreen
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,9 @@ class TestClike:
                 statement = spec.render(lib.sample_values(spec, rng))
                 compile_clike(f"loop {{\n{statement}\n}}\n")
 
-    def test_c_level_ga_improves(self):
+    @pytest.mark.parametrize("strategy, screened", [
+        ("genetic", True), ("static_rank", False), ("surrogate", True)])
+    def test_c_level_ga_improves(self, strategy, screened):
         machine = SimulatedMachine("cortex_a15", seed=5, sim_cycles=800)
         target = SimulatedTarget(machine, translator=compile_clike)
         target.connect()
@@ -238,12 +242,22 @@ class TestClike:
                           mutation_rate=0.08, generations=8, seed=5)
         config = RunConfig(ga=ga, library=clike_library(),
                            template_text=clike_template())
+        pruning = strategy != "genetic"
+        config.search = SearchParameters(
+            strategy=strategy,
+            params={"platform": "cortex_a15"} if pruning else {})
         engine = GeneticEngine(
             config, PowerMeasurement(target, {"samples": "3"}),
-            DefaultFitness())
+            DefaultFitness(),
+            screen=StaticScreen.for_machine(machine) if screened else None)
         history = engine.run()
         series = history.best_fitness_series()
         assert series[-1] > series[0]
+        # The screen and the scorers see the translated program.
+        assert all(g.screen_failures == 0 for g in history.generations)
+        if pruning:
+            assert any(g.surrogate["spearman"] is not None
+                       for g in history.generations)
 
 
 # ---------------------------------------------------------------------------

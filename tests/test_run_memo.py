@@ -1,12 +1,12 @@
 """Tests for one compile path per program and the noise-free run memo.
 
 Serial evaluation does its deterministic work once per distinct
-program: the static screen and the measurement share the Program that
-``SimulatedMachine.compile`` caches (built through the pipeline's one
-template splicer), and ``SimulatedMachine.run`` memoises the trace,
-power figures and PDN response per compiled Program, cores and supply,
-redrawing only the measurement noise.  Every observable must stay
-bit-identical to a fresh machine's.
+program: pruning scorers, the static screen and the measurement share
+the Program that ``SimulatedMachine.compile`` caches (built through
+the pipeline's one template splicer), and ``SimulatedMachine.run``
+memoises the trace, power figures and PDN response per compiled
+Program, cores and supply, redrawing only the measurement noise.
+Every observable must stay bit-identical to a fresh machine's.
 """
 
 import copy
@@ -30,9 +30,14 @@ from repro.cpu.target import SimulatedTarget
 from repro.evaluation.backends import BatchedBackend, SerialBackend
 from repro.evaluation.pipeline import EvaluationPipeline
 from repro.fitness.default_fitness import DefaultFitness
+from repro.isa.assembler import BaseAssembler
+from repro.isa.splice import TemplateSplicer
 from repro.measurement.power import PowerMeasurement
 from repro.staticcheck.screen import StaticScreen
 from repro.workloads import workload
+
+from .test_pruning_golden import GOLDEN
+from .test_pruning_golden import _run as _run_golden
 
 CONFIG = "configs/arm_power/config.xml"
 PRESET = "cortex_a15"
@@ -327,7 +332,7 @@ class TestSharedCompilePath:
         assert not any(type(value).__name__ == "TemplateSplicer"
                        for value in vars(backend).values())
 
-    def test_translating_targets_keep_their_own_paths(self, config):
+    def test_translating_targets_screen_the_translated_program(self, config):
         machine = SimulatedMachine(PRESET, sim_cycles=SIM_CYCLES)
         target = SimulatedTarget(machine, translator=lambda text: text)
         target.connect()
@@ -340,8 +345,11 @@ class TestSharedCompilePath:
         assert target.builder is None
         [(individual, source)] = _jobs(pipeline, config, 1)
         result = pipeline.evaluate(individual, source=source)
+        # No splicer, but the screen still compiles through the shared
+        # path (the translated source, one miss) and the measurement
+        # hits that entry.
         assert (result.compile_cache_misses, result.compile_cache_hits) \
-            == (1, 0)
+            == (1, 1)
 
     @pytest.mark.serial_evaluation
     def test_generation_misses_count_distinct_sources_assembled(
@@ -387,3 +395,36 @@ class TestSharedCompilePath:
             assert stats.compile_cache_hits >= stats.measured
             assert stats.compile_cache_hits + stats.compile_cache_misses \
                 == stats.screened + stats.measured
+
+    @pytest.mark.serial_evaluation
+    @pytest.mark.parametrize("case", ["static_rank(genetic)",
+                                      "surrogate(genetic)"])
+    def test_pruning_runs_build_each_source_once(self, case, monkeypatch):
+        # The scorer prices the Program the run measures: a simulated
+        # survivor is a compile-cache hit, never a second build.
+        built = []
+        inside = []
+        splice = TemplateSplicer.compile
+        assemble = BaseAssembler.assemble
+
+        def splicing(splicer, source, name="stress.s"):
+            built.append(source)
+            inside.append(True)
+            try:
+                return splice(splicer, source, name)
+            finally:
+                inside.pop()
+
+        def assembling(assembler, source, name="<source>"):
+            if not inside:
+                built.append(source)
+            return assemble(assembler, source, name)
+
+        monkeypatch.setattr(TemplateSplicer, "compile", splicing)
+        monkeypatch.setattr(BaseAssembler, "assemble", assembling)
+        golden = GOLDEN[case]
+        _, history = _run_golden(golden["strategy"], golden["params"])
+        assert any(g.surrogate["pruned"] for g in history.generations)
+        twice = [source for source, count in Counter(built).items()
+                 if count > 1]
+        assert built and not twice, f"{len(twice)} sources built twice"

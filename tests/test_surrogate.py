@@ -144,28 +144,39 @@ class TestShortProbe:
 
 
 class TestSurrogateFeaturizer:
-    def test_static_rows(self, tiny_config, rng):
+    @staticmethod
+    def _compiled(template, individuals):
+        """The ``(source, Program)`` pairs the pruning core passes in."""
+        pairs = []
+        for individual in individuals:
+            source = template.instantiate(individual.render_body())
+            pairs.append((source, ArmAssembler().assemble(source)))
+        return pairs
+
+    def test_static_rows(self, tiny_config, tiny_template, rng):
         from repro.core.individual import random_individual
-        featurizer = SurrogateFeaturizer(tiny_config.template_text,
-                                         microarch_for("cortex_a15"))
+        featurizer = SurrogateFeaturizer(microarch_for("cortex_a15"))
         individuals = [random_individual(tiny_config.library, 6, rng,
                                          uid=i) for i in range(3)]
-        rows = featurizer.featurize_batch(individuals)
+        rows = featurizer.featurize_batch(
+            self._compiled(tiny_template, individuals))
         assert len(rows) == 3
-        for source, row in rows:
-            assert "#loop_code" not in source
+        for row in rows:
             assert row is not None
             assert "loop_length" in row and "ipc_upper" in row
             assert not any(name.startswith("probe_") for name in row)
+        # No Program (the source did not assemble): no row.
+        assert featurizer.featurize_batch([("bogus", None)]) == [None]
 
-    def test_probe_rows_merge_dynamic_features(self, tiny_config, rng):
+    def test_probe_rows_merge_dynamic_features(self, tiny_config,
+                                               tiny_template, rng):
         from repro.core.individual import random_individual
-        featurizer = SurrogateFeaturizer(tiny_config.template_text,
-                                         microarch_for("cortex_a15"),
+        featurizer = SurrogateFeaturizer(microarch_for("cortex_a15"),
                                          probe_cycles=400)
         assert featurizer.probes
         individual = random_individual(tiny_config.library, 6, rng, uid=0)
-        (_, row), = featurizer.featurize_batch([individual])
+        row, = featurizer.featurize_batch(
+            self._compiled(tiny_template, [individual]))
         for name in PROBE_FEATURE_NAMES:
             assert name in row
 
